@@ -155,10 +155,7 @@ def build_T(params: PlanParameters, s: int, shift: int) -> list[Part]:
     if not (params.s_min <= s and params.d * s <= params.r - 1 + params.d):
         raise ValueError(
             f"s={s} outside the good window [{params.s_min}, (r-1+d)/d] for r={params.r}")
-    parts = flatten_blocks(build_stack(params, s), params.r, params.stride1, params.stride2)
-    if shift:
-        parts = [part.translated(shift) for part in parts]
-    return parts
+    return flatten_blocks(build_stack(params, s), params.r, params.stride1, params.stride2, shift)
 
 
 def tile(p: int, q: int, r: int) -> Tiling:

@@ -14,7 +14,7 @@ re-derives everything from the candidate itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import pairwise
+from operator import le, sub
 from typing import Any
 
 
@@ -66,18 +66,23 @@ class GapSequence:
         return sum(self.gaps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Part:
-    """One part of a tiling: a strictly increasing tuple of integers."""
+    """One part of a tiling: a strictly increasing tuple of integers.
+
+    Slotted: a tiling holds one Part per four integers, and a per-instance
+    __dict__ would double the objects the cyclic garbage collector tracks.
+    """
 
     elements: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        if len(self.elements) < 1:
+        elements = tuple(self.elements)
+        object.__setattr__(self, "elements", elements)
+        if len(elements) < 1:
             raise ValueError("a part needs at least one element")
-        if any(b <= a for a, b in pairwise(self.elements)):
-            raise ValueError(f"part is not strictly increasing: {self.elements!r}")
+        if any(map(le, elements[1:], elements)):
+            raise ValueError(f"part is not strictly increasing: {elements!r}")
 
     @classmethod
     def from_values(cls, values) -> Part:
@@ -99,7 +104,7 @@ def gap_multiset(part: Part) -> tuple[int, ...]:
     """
     if len(part.elements) < 2:
         raise ValueError("gap multiset needs a part with at least 2 elements")
-    return tuple(sorted(b - a for a, b in pairwise(part.elements)))
+    return tuple(sorted(map(sub, part.elements[1:], part.elements)))
 
 
 @dataclass(frozen=True)
@@ -147,16 +152,35 @@ def verify_tiling(tiling: Tiling, gaps: GapSequence) -> Verdict:
     verdict's witness is a duplicated element, the smallest missing or stray
     integer, or the least element of the offending part respectively.
     Malformed candidates yield a reject, never an exception.
+
+    Integers of [lo, hi] are marked in a bytearray indexed by x - lo; every
+    other element goes into a set, and an element that is not an integer
+    counts as stray.  The bytearray spans at most (number of elements + 1)
+    integers, so memory follows the input, not the interval: an interval
+    longer than that cannot be covered, and by pigeonhole its smallest
+    missing integer lies inside the bytearray.
     """
-    seen: set[int] = set()
+    lo, hi = tiling.lo, tiling.hi
+    window = max(0, min(hi - lo + 1, sum(len(part.elements) for part in tiling.parts) + 1))
+    marked = bytearray(window)
+    others: set = set()
     for part in tiling.parts:
         for x in part.elements:
-            if x in seen:
+            i = x - lo
+            if 0 <= i < window and isinstance(i, int):
+                if marked[i]:
+                    return Verdict(False, "disjointness", x)
+                marked[i] = 1
+            elif x in others:
                 return Verdict(False, "disjointness", x)
-            seen.add(x)
-    interval = set(range(tiling.lo, tiling.hi + 1))
-    if seen != interval:
-        return Verdict(False, "coverage", min(seen ^ interval))
+            else:
+                others.add(x)
+    mismatches = [x for x in others if not (isinstance(x, int) and lo <= x <= hi)]
+    missing = marked.find(0)
+    if missing >= 0:
+        mismatches.append(lo + missing)
+    if mismatches:
+        return Verdict(False, "coverage", min(mismatches))
     want = gaps.gaps
     for part in tiling.parts:
         if len(part.elements) != len(want) + 1 or gap_multiset(part) != want:

@@ -19,10 +19,16 @@ vectors of a block land on fixed integer gaps:
     step e3 to the next slice      ->  r
 
 The row steps rely on the rows below the top being full width a, which is
-what the nice-layer shape guarantees.  flatten_blocks applies phi to every
-block of the stack and re-checks each emitted part against its expected gap
-multiset, so an assembly slip raises InternalInconsistency instead of
-leaking a wrong part.
+what the nice-layer shape guarantees.
+
+Every copy of a layer in the stack flattens to the same values, shifted by
+d times the copy's start rank, so flatten_blocks maps each distinct
+(layer, covering) pair once and emits the copies as translates.  What
+translation preserves is checked once: the injectivity bound per stack, and
+each block's gap multiset per pattern, so an assembly slip still raises
+InternalInconsistency instead of leaking a wrong part.  What it does not
+preserve, that the copies are disjoint and cover the interval, is checked
+by verify_tiling over every part before assemble.tile returns.
 """
 
 from __future__ import annotations
@@ -106,7 +112,7 @@ class LayerStack:
             total += size
         return tuple(starts)
 
-    @property
+    @cached_property
     def size(self) -> int:
         """Cells per slice, the s of the map."""
         return sum(self.sizes)
@@ -160,23 +166,36 @@ def _classify(member: Member) -> tuple[str, int]:
     raise ValueError(f"family member {member} cannot be flattened")
 
 
-def flatten_blocks(stack: LayerStack, r: int, p: int, q: int) -> list[Part]:
-    """Map every block of the stack through phi and return the parts.
+def flatten_blocks(stack: LayerStack, r: int, p: int, q: int, shift: int = 0) -> list[Part]:
+    """Map every block of the stack through phi, shifted by shift, and
+    return the parts.
 
     p and q name the intended column strides and are checked against the
     stack's families: an axis stack must have stride p and width a = q, a
-    skew stack must have strides {p, q}.  Every part is re-checked against
-    its expected gap multiset before it is returned.
+    skew stack must have strides {p, q}.  r must be at least
+    min_spacing(stack), as phi requires.
+
+    Copy i of a layer flattens to its pattern, the sorted values
+    d * layer.rank(x, y) + (z - 1) * r of each block, translated by
+    d * start_i + shift.  Each distinct (layer, covering) pair is mapped
+    once: its points are range-checked as phi checks them, and each block's
+    gaps are checked against the expected {d*m, d*(a-m) or d*a, r} once,
+    since translation keeps gaps; a mismatch raises InternalInconsistency.
+    Every copy is emitted as a Part, which checks that it strictly
+    increases.  That the copies are disjoint and cover their target is not
+    checked here; verify_tiling checks it over every part tile() emits.
     """
     if stack.coverings is None:
         raise ValueError("cannot flatten a bare stack, it has no blocks")
+    if r < min_spacing(stack):
+        raise ValueError(f"spacing {r} below injectivity bound {min_spacing(stack)}")
     kinds = {_classify(member) for cov in stack.coverings for member in cov.family}
     cases = {case for case, _ in kinds}
     strides = {m for _, m in kinds}
     if len(cases) != 1:
         raise ValueError(f"stack mixes axis and skew families: {sorted(kinds)}")
     case = cases.pop()
-    a, d = stack.a, stack.d
+    a = stack.a
     if case == "axis":
         if strides != {p} or q != a:
             raise ValueError(
@@ -184,20 +203,43 @@ def flatten_blocks(stack: LayerStack, r: int, p: int, q: int) -> list[Part]:
     elif strides != {p, q}:
         raise ValueError(f"skew stack has strides {sorted(strides)}, not p={p}, q={q}")
 
-    parts = []
-    for i, cov in enumerate(stack.coverings):
-        for blk in cov.blocks:
-            if case == "axis":
-                expected = tuple(sorted((d * p, d * a, r)))
-            else:
-                if blk.member is None:
-                    raise InternalInconsistency("stack block lost its family member")
-                m = blk.member[0][0]
-                expected = tuple(sorted((d * m, d * (a - m), r)))
-            values = tuple(sorted(phi(stack, (i, x, y, z), r) for x, y, z in blk.points))
-            got = tuple(sorted(b - a_ for a_, b in pairwise(values)))
-            if got != expected:
-                raise InternalInconsistency(
-                    f"flattened block {blk.points} has gaps {got}, expected {expected}")
-            parts.append(Part(values))
+    patterns: dict[tuple[NiceLayer, int], list[tuple[int, ...]]] = {}
+    parts: list[Part] = []
+    for layer, cov, start in zip(stack.layers, stack.coverings, stack._starts):
+        key = (layer, id(cov))
+        if key not in patterns:
+            patterns[key] = _pattern(stack, layer, cov, case, r, p)
+        offset = stack.d * start + shift
+        # every block has four points, so every pattern is a 4-tuple
+        parts += [Part((w + offset, x + offset, y + offset, z + offset))
+                  for w, x, y, z in patterns[key]]
     return parts
+
+
+def _pattern(stack: LayerStack, layer: NiceLayer, cov: Covering, case: str,
+             r: int, p: int) -> list[tuple[int, ...]]:
+    """Sorted flattened values of each block of one layer copy at offset 0,
+    each checked against its expected gap multiset."""
+    a, d = stack.a, stack.d
+    pattern = []
+    for blk in cov.blocks:
+        if case == "axis":
+            m, up = p, a
+        else:
+            if blk.member is None:
+                raise InternalInconsistency("stack block lost its family member")
+            m = blk.member[0][0]
+            up = a - m
+        values = []
+        for x, y, z in blk.points:
+            if not 1 <= z <= stack.height:
+                raise ValueError(f"slice {z} outside 1..{stack.height}")
+            values.append(d * layer.rank(x, y) + (z - 1) * r)
+        values.sort()
+        got = tuple(sorted(b - a_ for a_, b in pairwise(values)))
+        expected = tuple(sorted((d * m, d * up, r)))
+        if got != expected:
+            raise InternalInconsistency(
+                f"flattened block {blk.points} has gaps {got}, expected {expected}")
+        pattern.append(tuple(values))
+    return pattern

@@ -1,5 +1,7 @@
+import tracemalloc
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gaptile.core import (
     GapSequence, Part, Tiling, Verdict, gap_multiset,
@@ -107,6 +109,82 @@ class TestVerifyTiling:
         v = Verdict(False, "coverage", 7)
         assert not v
         assert "coverage" in v.message() and "7" in v.message()
+
+
+def verify_tiling_with_sets(tiling, gaps):
+    """Reference verifier: the set-based check verify_tiling replaced."""
+    seen = set()
+    for part in tiling.parts:
+        for x in part.elements:
+            if x in seen:
+                return Verdict(False, "disjointness", x)
+            seen.add(x)
+    interval = set(range(tiling.lo, tiling.hi + 1))
+    if seen != interval:
+        return Verdict(False, "coverage", min(seen ^ interval))
+    want = gaps.gaps
+    for part in tiling.parts:
+        if len(part.elements) != len(want) + 1 or gap_multiset(part) != want:
+            return Verdict(False, "gaps", part.elements[0])
+    return Verdict(True)
+
+
+@st.composite
+def candidate_tilings(draw):
+    """Tilings near a partition of [lo, hi]: the interval, in order or
+    shuffled, cut into parts, then parts dropped, repeated or added, with
+    elements inside and outside the interval."""
+    lo = draw(st.integers(-20, 20))
+    hi = lo + draw(st.integers(-3, 24))
+    values = list(range(lo, hi + 1))
+    if draw(st.booleans()):
+        values = draw(st.permutations(values))
+    size = draw(st.integers(1, 4))
+    chunks = [values[i:i + size] for i in range(0, len(values), size)]
+    chunks = [c for c in chunks if draw(st.integers(0, 9)) != 0]
+    extra = st.lists(st.integers(lo - 6, hi + 6), min_size=1, max_size=5, unique=True)
+    chunks += draw(st.lists(extra, max_size=3))
+    chunks += draw(st.lists(st.sampled_from(chunks), max_size=2)) if chunks else []
+    order = draw(st.permutations(range(len(chunks))))
+    tiling = Tiling(lo, hi, tuple(Part.from_values(chunks[i]) for i in order))
+    gaps = GapSequence((1,) * max(1, size - 1))
+    if draw(st.booleans()):
+        gaps = GapSequence(tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))))
+    return tiling, gaps
+
+
+class TestVerifyTilingReference:
+    """verify_tiling agrees with the set-based reference on every verdict,
+    reason and witness."""
+
+    @given(candidate_tilings())
+    @example((Tiling(5, 4, ()), GapSequence.of(1)))
+    @example((Tiling(5, 4, parts([5, 6])), GapSequence.of(1)))
+    @example((Tiling(1, 4, ()), GapSequence.of(1)))
+    @example((Tiling(1, 4, parts([1, 2], [3, 4], [9, 10], [9, 11])), GapSequence.of(1)))
+    @example((Tiling(1, 4, parts([-3, 1, 2], [3, 4], [-3, 7])), GapSequence.of(1)))
+    def test_matches_set_reference(self, case):
+        tiling, gaps = case
+        got = verify_tiling(tiling, gaps)
+        want = verify_tiling_with_sets(tiling, gaps)
+        assert (got.ok, got.reason, got.witness) == (want.ok, want.reason, want.witness)
+
+    def test_huge_interval_memory_follows_input(self):
+        t = Tiling(1, 10**12, parts([1, 2, 3, 4]))
+        tracemalloc.start()
+        try:
+            v = verify_tiling(t, triple(1, 1, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (v.ok, v.reason, v.witness) == (False, "coverage", 5)
+        assert peak < 10_000
+
+    def test_duplicate_past_short_window_is_disjointness(self):
+        # the window covers only 9 of the interval's integers; 50 repeats past it
+        t = Tiling(1, 1000, parts([1, 2, 3, 50], [50, 51, 52, 53]))
+        v = verify_tiling(t, triple(1, 1, 47))
+        assert (v.reason, v.witness) == ("disjointness", 50)
 
 
 class TestJson:

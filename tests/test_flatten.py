@@ -1,8 +1,10 @@
 import pytest
 
+from gaptile.assemble import build_stack, plan
+from gaptile.blocks3d import Block, Covering
 from gaptile.core import InternalInconsistency, gap_multiset
 from gaptile.flatten import LayerStack, flatten_blocks, min_spacing, phi, phi_image
-from gaptile.layers import NiceLayer, layer_x1, layer_y1, layer_y2
+from gaptile.layers import NiceLayer, layer_x1, layer_x2, layer_y1, layer_y2
 
 
 def rank_by_sorting(stack):
@@ -124,3 +126,47 @@ class TestFlattenBlocks:
         stack = LayerStack.from_shapes([NiceLayer(2, 1, 0)], 1, 1)
         with pytest.raises(ValueError):
             flatten_blocks(stack, 10, 1, 2)
+
+
+def flatten_with_phi(stack, r, shift):
+    """Reference flattening: every point of every block through phi."""
+    return [tuple(sorted(phi(stack, (i, x, y, z), r) + shift for x, y, z in blk.points))
+            for i, cov in enumerate(stack.coverings) for blk in cov.blocks]
+
+
+def _stack_12_18():
+    params = plan(12, 18, 2016)
+    return build_stack(params, 2016 // params.d), 2016, params.stride1, params.stride2
+
+
+REPEATED_STACKS = [
+    # big branch, d = 1: both wide layers, one repeated
+    (LayerStack.build([layer_x1(1, 3), layer_x2(1, 3), layer_x1(1, 3)], 1), 400, 1, 3),
+    # small branch, d = 1: both near layers, one repeated
+    (LayerStack.build([layer_y1(2, 3), layer_y2(2, 3), layer_y1(2, 3)], 1), 900, 2, 3),
+    # small branch, d = 6: the stack tile(12, 18, 2016) flattens
+    _stack_12_18(),
+]
+
+
+class TestFlattenOnceReference:
+    @pytest.mark.parametrize("shift", [0, 5])
+    @pytest.mark.parametrize("stack,r,p,q", REPEATED_STACKS)
+    def test_matches_per_point_phi(self, stack, r, p, q, shift):
+        assert len(set(stack.layers)) < len(stack.layers)
+        got = sorted(part.elements for part in flatten_blocks(stack, r, p, q, shift))
+        assert got == sorted(flatten_with_phi(stack, r, shift))
+
+    def test_spacing_below_bound_rejected(self):
+        stack = LayerStack.build([layer_x1(1, 2)], 1)
+        with pytest.raises(ValueError):
+            flatten_blocks(stack, min_spacing(stack) - 1, 1, 2)
+
+    def test_wrong_gaps_raise_internal_inconsistency(self):
+        layer, cov = layer_x1(1, 2)
+        # a unit square in one slice has gaps {1, 1, 1}, not {1, 2, r}
+        square = Block(((1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1)), cov.blocks[0].member)
+        bad = Covering(cov.cells, cov.height, (square,) + cov.blocks[1:], cov.family)
+        stack = LayerStack((layer, layer), (cov, bad), cov.height, 1)
+        with pytest.raises(InternalInconsistency):
+            flatten_blocks(stack, 100, 1, 2)
