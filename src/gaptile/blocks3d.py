@@ -14,15 +14,18 @@ coverings over tiny shapes, an algebra to assemble larger ones (translate,
 stretch_e1, replicate_height, compose), and the rectangle and notched
 rectangle coverings the layer builders consume.
 
-Every producing operation re-verifies its result before returning it, so an
-invalid covering cannot escape this module; verify_covering itself never
-trusts stored block orderings and re-derives them from scratch.
+The algebra's moves keep a valid covering valid, so each builder assembles
+from their private, uncertified forms and runs verify_covering once on the
+covering it returns; the public algebra functions certify their results
+too.  An invalid covering cannot escape the package, and verify_covering
+never trusts stored block orderings but re-derives them from scratch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import pairwise, permutations
+from functools import cache, lru_cache
+from itertools import accumulate, permutations
 
 from .core import InternalInconsistency, Verdict
 
@@ -58,23 +61,18 @@ def skew_family(p: int, q: int) -> Family:
 
 @dataclass(frozen=True)
 class Block:
-    """Four ordered points plus the family member they instantiate.
+    """Four points of Z^3 that should form a family block.
 
     The stored order is a convenience; verification re-derives an ordering
-    with is_block and never trusts this one.  member is None for blocks read
-    back from JSON, where it is not recorded.
+    with is_block and never trusts this one.
     """
 
     points: tuple[Point3, Point3, Point3, Point3]
-    member: Member | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(tuple(p) for p in self.points))
         if len(self.points) != 4:
             raise ValueError(f"a block has exactly 4 points, got {len(self.points)}")
-
-    def diffs(self) -> tuple[Vec3, Vec3, Vec3]:
-        return tuple(_sub(b, a) for a, b in pairwise(self.points))
 
 
 @dataclass(frozen=True)
@@ -98,23 +96,36 @@ class Covering:
 
 
 def is_block(points, member: Member) -> tuple[Point3, ...] | None:
-    """Search for an ordering of the four points whose consecutive step
-    vectors are a permutation of the member triple, matched exactly.
+    """Find an ordering of the four points whose consecutive step vectors
+    are a permutation of the member triple, matched exactly.
 
-    Returns the ordering, or None when no ordering works.  Points must be
-    four distinct triples; anything else raises ValueError.
+    Returns the ordering, or None when no ordering works; among several it
+    is the one with the least start point, then the first permutation in
+    sorted order.  Points must be four distinct triples; anything else
+    raises ValueError.
     """
     pts = {tuple(p) for p in points}
     if len(pts) != 4:
         raise ValueError(f"is_block needs exactly 4 distinct points, got {len(pts)}")
-    for start in sorted(pts):
-        for perm in sorted(set(permutations(member))):
-            walk = [start]
-            for step in perm:
-                walk.append(_add(walk[-1], step))
-            if set(walk) == pts:
-                return tuple(walk)
-    return None
+    base = min(pts)
+    walk = _walks(tuple(map(tuple, member))).get(frozenset(_sub(p, base) for p in pts))
+    return None if walk is None else tuple(_add(base, v) for v in walk)
+
+
+@lru_cache(maxsize=256)
+def _walks(member: Member) -> dict[frozenset[Vec3], tuple[Vec3, ...]]:
+    """Every block shape of a member, translated so its least point is the
+    origin, mapped to the walk is_block reports for it."""
+    walks: dict[frozenset[Vec3], tuple[Vec3, ...]] = {}
+    for perm in sorted(set(permutations(member))):
+        walk = list(accumulate(perm, _add, initial=(0, 0, 0)))
+        base = min(walk)
+        walk = tuple(_sub(p, base) for p in walk)
+        shape = frozenset(walk)
+        # a walk from a lesser start point wins; ties keep the earlier permutation
+        if shape not in walks or walk[0] < walks[shape][0]:
+            walks[shape] = walk
+    return walks
 
 
 def verify_covering(covering: Covering, family: Family | None = None) -> Verdict:
@@ -124,13 +135,15 @@ def verify_covering(covering: Covering, family: Family | None = None) -> Verdict
     Checks run in the fixed order block validity, overlap, coverage; the
     verdict's witness is the offending block index or point.  Candidates
     assembled from untrusted JSON yield a reject, never an exception.
+
+    Memory follows the blocks, not the slab: the coverage witness is the
+    least stray point or the least missing one, found by scanning the slab
+    in sorted order, within len(seen) + 1 steps by pigeonhole.
     """
     if family is None:
         family = covering.family
     for index, block in enumerate(covering.blocks):
-        if len(set(block.points)) != 4:
-            return Verdict(False, "block", index)
-        if not any(is_block(block.points, member) for member in family):
+        if len(set(block.points)) != 4 or not any(is_block(block.points, m) for m in family):
             return Verdict(False, "block", index)
     seen: set[Point3] = set()
     for block in covering.blocks:
@@ -138,9 +151,13 @@ def verify_covering(covering: Covering, family: Family | None = None) -> Verdict
             if point in seen:
                 return Verdict(False, "overlap", point)
             seen.add(point)
-    target = {(x, y, z) for x, y in covering.cells for z in range(1, covering.height + 1)}
-    if seen != target:
-        return Verdict(False, "coverage", min(seen ^ target))
+    cells, height = covering.cells, covering.height
+    mismatches = [pt for pt in seen if pt[:2] not in cells or not 1 <= pt[2] <= height]
+    if len(seen) - len(mismatches) < len(cells) * height:
+        slab = ((x, y, z) for x, y in sorted(cells) for z in range(1, height + 1))
+        mismatches.append(next(pt for pt in slab if pt not in seen))
+    if mismatches:
+        return Verdict(False, "coverage", min(mismatches))
     return Verdict(True)
 
 
@@ -239,66 +256,41 @@ _BASE: dict[str, tuple[frozenset[Cell], int, Member, tuple]] = {
 BASE_IDS: tuple[str, ...] = tuple(_BASE)
 
 
+@cache
 def base_covering(name: str) -> Covering:
-    """One of the catalog coverings, by id; see BASE_IDS."""
+    """One of the catalog coverings, by id; see BASE_IDS.  Each is certified
+    once per process and then shared."""
     try:
         cells, height, member, blocks = _BASE[name]
     except KeyError:
         raise ValueError(f"unknown base covering {name!r}, expected one of {BASE_IDS}") from None
-    return _certified(Covering(cells, height, tuple(Block(b, member) for b in blocks), (member,)))
+    return _certified(Covering(cells, height, tuple(Block(b) for b in blocks), (member,)))
 
 
-# ---------- covering algebra ----------
+# ---------- covering algebra: private forms build, public forms certify ----------
 
-def translate(covering: Covering, dx: int, dy: int) -> Covering:
-    """Rigid shift in the plane; height and family are unchanged."""
-    cells = frozenset((x + dx, y + dy) for x, y in covering.cells)
+def _affine(covering: Covering, w: int, dx: int, dy: int) -> Covering:
+    """The map x -> w*x + dx, y -> y + dy, heights untouched; an
+    (m*e1, ...) family becomes (w*m*e1, ...)."""
+    cells = frozenset((w * x + dx, y + dy) for x, y in covering.cells)
+    family = tuple(tuple((w * v[0], v[1], v[2]) for v in member) for member in covering.family)
     blocks = tuple(
-        Block(tuple((x + dx, y + dy, z) for x, y, z in blk.points), blk.member)
+        Block(tuple((w * x + dx, y + dy, z) for x, y, z in blk.points))
         for blk in covering.blocks)
-    return _certified(Covering(cells, covering.height, blocks, covering.family))
+    return Covering(cells, covering.height, blocks, family)
 
 
-def stretch_e1(covering: Covering, w: int) -> Covering:
-    """Scale every x coordinate by w, mapping an (m*e1, ...) family to
-    (w*m*e1, ...); rows and heights are untouched."""
-    if w < 1:
-        raise ValueError("stretch factor must be positive")
-
-    def vec(v: Vec3) -> Vec3:
-        return (w * v[0], v[1], v[2])
-
-    cells = frozenset((w * x, y) for x, y in covering.cells)
-    family = tuple(tuple(vec(v) for v in member) for member in covering.family)
-    blocks = tuple(
-        Block(tuple((w * x, y, z) for x, y, z in blk.points),
-              None if blk.member is None else tuple(vec(v) for v in blk.member))
-        for blk in covering.blocks)
-    return _certified(Covering(cells, covering.height, blocks, family))
-
-
-def replicate_height(covering: Covering, height: int) -> Covering:
-    """Stack height / h(covering) vertical copies; height must be a multiple."""
-    if height == covering.height:
-        return covering
+def _replicated(covering: Covering, height: int) -> Covering:
     if height < 1 or height % covering.height:
         raise ValueError(
             f"target height {height} is not a multiple of covering height {covering.height}")
-    blocks = []
-    for k in range(height // covering.height):
-        dz = k * covering.height
-        blocks += [
-            Block(tuple((x, y, z + dz) for x, y, z in blk.points), blk.member)
-            for blk in covering.blocks]
-    return _certified(Covering(covering.cells, height, tuple(blocks), covering.family))
+    blocks = tuple(
+        Block(tuple((x, y, z + dz) for x, y, z in blk.points))
+        for dz in range(0, height, covering.height) for blk in covering.blocks)
+    return Covering(covering.cells, height, blocks, covering.family)
 
 
-def compose(coverings) -> Covering:
-    """Disjoint union of coverings of equal height; families are merged.
-
-    Overlapping cells or mismatched heights raise ValueError naming the
-    offending pair of components.
-    """
+def _composed(coverings) -> Covering:
     coverings = list(coverings)
     if not coverings:
         raise ValueError("compose needs at least one covering")
@@ -312,21 +304,50 @@ def compose(coverings) -> Covering:
             if cell in owner:
                 raise ValueError(f"components {owner[cell]} and {i} overlap at cell {cell}")
             owner[cell] = i
-    family: list[Member] = []
-    for cov in coverings:
-        for member in cov.family:
-            if member not in family:
-                family.append(member)
-    cells = frozenset(owner)
+    family = dict.fromkeys(member for cov in coverings for member in cov.family)
     blocks = tuple(blk for cov in coverings for blk in cov.blocks)
-    return _certified(Covering(cells, height, blocks, tuple(family)))
+    return Covering(frozenset(owner), height, blocks, tuple(family))
+
+
+def translate(covering: Covering, dx: int, dy: int) -> Covering:
+    """Rigid shift in the plane; height and family are unchanged."""
+    return _certified(_affine(covering, 1, dx, dy))
+
+
+def stretch_e1(covering: Covering, w: int) -> Covering:
+    """Scale every x coordinate by w, mapping an (m*e1, ...) family to
+    (w*m*e1, ...); rows and heights are untouched."""
+    if w < 1:
+        raise ValueError("stretch factor must be positive")
+    return _certified(_affine(covering, w, 0, 0))
+
+
+def replicate_height(covering: Covering, height: int) -> Covering:
+    """Stack height / h(covering) vertical copies; height must be a multiple.
+    A covering already at that height comes back as it is, uncertified."""
+    if height == covering.height:
+        return covering
+    return _certified(_replicated(covering, height))
+
+
+def compose(coverings) -> Covering:
+    """Disjoint union of coverings of equal height; families are merged.
+
+    Overlapping cells or mismatched heights raise ValueError naming the
+    offending pair of components.
+    """
+    return _certified(_composed(coverings))
 
 
 # ---------- composed rectangle coverings ----------
 
+def _s3() -> Covering:
+    return _composed([base_covering("S1"), _affine(base_covering("S2"), 1, 1, 0)])
+
+
 def covering_S3() -> Covering:
     """The [3] x [2] rectangle at height 4: S1 next to a shifted S2."""
-    return compose([base_covering("S1"), translate(base_covering("S2"), 1, 0)])
+    return _certified(_s3())
 
 
 def covering_S4(k: int) -> Covering:
@@ -337,19 +358,20 @@ def covering_S4(k: int) -> Covering:
     [2] x [4] columns after that.  Everything is replicated to height 20 so
     the pieces compose.
     """
+    return _certified(_rectangle(k))
+
+
+def _rectangle(k: int) -> Covering:
     if k < 2:
         raise ValueError(f"rectangle width must be at least 2, got {k}")
-    two_wide = base_covering("S4_2x4")
     pieces = []
     start = 0
     if k % 2:
-        three = covering_S3()
-        pieces.append(replicate_height(compose([three, translate(three, 0, 2)]), 20))
+        three = _s3()
+        pieces.append(_replicated(_composed([three, _affine(three, 1, 0, 2)]), 20))
         start = 3
-    pieces += [
-        replicate_height(translate(two_wide, start + 2 * i, 0), 20)
-        for i in range((k - start) // 2)]
-    return compose(pieces)
+    pieces += _two_wide_columns(start, k)
+    return _composed(pieces)
 
 
 def covering_S7(k: int) -> Covering:
@@ -359,19 +381,26 @@ def covering_S7(k: int) -> Covering:
     plus S1 assembly for odd k); the remaining width is filled with
     [2] x [4] columns.
     """
+    return _certified(_notched_rectangle(k))
+
+
+def _notched_rectangle(k: int) -> Covering:
     if k < 2:
         raise ValueError(f"notched rectangle width must be at least 2, got {k}")
-    two_wide = base_covering("S4_2x4")
     if k % 2 == 0:
         tail, tail_width = base_covering("S6"), 2
     else:
-        tail = compose([base_covering("S5"), translate(base_covering("S1"), 2, 2)])
+        tail = _composed([base_covering("S5"), _affine(base_covering("S1"), 1, 2, 2)])
         tail_width = 3
-    pieces = [
-        replicate_height(translate(two_wide, 2 * i, 0), 20)
-        for i in range((k - tail_width) // 2)]
-    pieces.append(replicate_height(translate(tail, k - tail_width, 0), 20))
-    return compose(pieces)
+    pieces = _two_wide_columns(0, k - tail_width)
+    pieces.append(_replicated(_affine(tail, 1, k - tail_width, 0), 20))
+    return _composed(pieces)
+
+
+def _two_wide_columns(start: int, stop: int) -> list[Covering]:
+    # [2] x [4] columns at height 20 filling x = start+1 .. stop
+    column = _replicated(base_covering("S4_2x4"), 20)
+    return [_affine(column, 1, x, 0) for x in range(start, stop - 1, 2)]
 
 
 # ---------- JSON wire format ----------
@@ -392,34 +421,43 @@ def covering_from_json(obj) -> Covering:
 
     The result is *not* auto-verified: feed it to verify_covering to judge it.
     """
-    if not isinstance(obj, dict):
-        raise ValueError("covering JSON must be an object")
+    cells = shape_from_json(obj)
     try:
-        raw_cells = obj["cells"]
         height = obj["height"]
         raw_family = obj["family"]
         raw_blocks = obj["blocks"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"covering JSON missing field: {exc}") from None
-    if not isinstance(height, int):
+    if type(height) is not int:
         raise ValueError("height must be an integer")
-    cells = frozenset(_point(c, 2) for c in raw_cells)
-    family = tuple(_member(m) for m in raw_family)
-    blocks = tuple(Block(tuple(_point(p, 3) for p in b)) for b in raw_blocks)
+    if not isinstance(raw_family, list) or not isinstance(raw_blocks, list):
+        raise ValueError("family and blocks must be lists")
+    family = tuple(_points(m, 3, 3, "a family member") for m in raw_family)
+    blocks = tuple(Block(_points(b, 4, 3, "a block")) for b in raw_blocks)
     return Covering(cells, height, blocks, family)
 
 
+def shape_from_json(obj) -> frozenset[Cell]:
+    """The cells of a shape document {"cells": [[x, y], ...]}, validated as
+    covering_from_json validates a covering's cells; raises ValueError on
+    schema violations."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("cells"), list):
+        raise ValueError('expected a JSON object with a "cells" list')
+    return frozenset(_point(c, 2) for c in obj["cells"])
+
+
 def _point(values, arity: int) -> tuple[int, ...]:
+    # bool is an int subclass, but true is not a coordinate
     if (not isinstance(values, (list, tuple)) or len(values) != arity
-            or any(not isinstance(v, int) for v in values)):
+            or any(type(v) is not int for v in values)):
         raise ValueError(f"expected {arity} integers, got {values!r}")
     return tuple(values)
 
 
-def _member(values) -> Member:
-    if not isinstance(values, (list, tuple)) or len(values) != 3:
-        raise ValueError(f"a family member is 3 vectors, got {values!r}")
-    return tuple(_point(v, 3) for v in values)
+def _points(values, count: int, arity: int, what: str) -> tuple[tuple[int, ...], ...]:
+    if not isinstance(values, (list, tuple)) or len(values) != count:
+        raise ValueError(f"{what} must be {count} lists of {arity} integers, got {values!r}")
+    return tuple(_point(v, arity) for v in values)
 
 
 def _add(a: Point3, v: Vec3) -> Point3:

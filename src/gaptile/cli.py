@@ -12,7 +12,7 @@ import sys
 
 from .assemble import threshold, tile
 from .blocks3d import axis_family, covering_from_json, covering_to_json, \
-    skew_family, verify_covering
+    shape_from_json, skew_family, verify_covering
 from .core import GapSequence, InternalInconsistency, UnsupportedParameters, \
     tiling_from_json, tiling_to_json, verify_tiling
 from .layers import layer_x1, layer_x2, layer_y1, layer_y2
@@ -110,8 +110,7 @@ def _cmd_oracle(args) -> int:
         print(json.dumps(tiling_to_json(tiling, gaps)))
         return 0
     family = _parse_family(args.family)
-    shape = _read_json(args.shape)
-    cells = [tuple(c) for c in shape["cells"]]
+    cells = shape_from_json(_read_json(args.shape))
     result = solve_covering(cells, args.height, family, budget)
     if not hasattr(result, "blocks"):
         reason = "budget exhausted" if result is not None else "no covering exists"

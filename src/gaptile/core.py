@@ -47,7 +47,8 @@ class GapSequence:
     def __post_init__(self):
         if len(self.gaps) < 1:
             raise ValueError("a gap sequence needs at least one gap")
-        if any(not isinstance(g, int) or g < 1 for g in self.gaps):
+        # bool is an int subclass, but True is not a gap
+        if any(type(g) is not int or g < 1 for g in self.gaps):
             raise ValueError(f"gaps must be positive integers, got {self.gaps!r}")
         object.__setattr__(self, "gaps", tuple(sorted(self.gaps)))
 
@@ -88,13 +89,6 @@ class Part:
     def from_values(cls, values) -> Part:
         """Build a part from values in any order; duplicates are an error."""
         return cls(tuple(sorted(values)))
-
-    def translated(self, offset: int) -> Part:
-        return Part(tuple(x + offset for x in self.elements))
-
-    @property
-    def least(self) -> int:
-        return self.elements[0]
 
 
 def gap_multiset(part: Part) -> tuple[int, ...]:
@@ -211,14 +205,16 @@ def tiling_from_json(obj) -> tuple[GapSequence, Tiling]:
         raw_parts = obj["parts"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"tiling JSON missing or malformed field: {exc}") from None
-    if not isinstance(lo, int) or not isinstance(hi, int):
+    if type(lo) is not int or type(hi) is not int:
         raise ValueError("interval endpoints must be integers")
+    if not isinstance(raw_parts, list):
+        raise ValueError("parts must be a list")
     gaps = GapSequence(tuple(_int_list(raw_gaps, "gaps")))
     parts = tuple(Part.from_values(_int_list(p, "part")) for p in raw_parts)
     return gaps, Tiling(lo, hi, parts)
 
 
 def _int_list(values, what: str) -> list[int]:
-    if not isinstance(values, (list, tuple)) or any(not isinstance(v, int) for v in values):
+    if not isinstance(values, (list, tuple)) or any(type(v) is not int for v in values):
         raise ValueError(f"{what} must be a list of integers, got {values!r}")
     return list(values)

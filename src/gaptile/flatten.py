@@ -39,7 +39,7 @@ from functools import cached_property
 from itertools import pairwise
 from typing import Iterator
 
-from .blocks3d import Covering, Member, replicate_height
+from .blocks3d import Covering, axis_family, replicate_height, skew_family
 from .core import InternalInconsistency, Part
 from .layers import NiceLayer
 
@@ -157,30 +157,22 @@ def phi_image(stack: LayerStack, r: int) -> set[int]:
     return {d * k + (z - 1) * r for z in range(1, stack.height + 1) for k in range(1, s + 1)}
 
 
-def _classify(member: Member) -> tuple[str, int]:
-    m = member[0][0]
-    if m >= 1 and member == ((m, 0, 0), (0, 1, 0), (0, 0, 1)):
-        return "axis", m
-    if m >= 1 and member == ((m, 0, 0), (-m, 1, 0), (0, 0, 1)):
-        return "skew", m
-    raise ValueError(f"family member {member} cannot be flattened")
-
-
 def flatten_blocks(stack: LayerStack, r: int, p: int, q: int, shift: int = 0) -> list[Part]:
     """Map every block of the stack through phi, shifted by shift, and
     return the parts.
 
     p and q name the intended column strides and are checked against the
     stack's families: an axis stack must have stride p and width a = q, a
-    skew stack must have strides {p, q}.  r must be at least
+    skew stack strides {p, q} and width a = p + q.  Either way every block
+    then flattens to gaps {d*p, d*q, r}.  r must be at least
     min_spacing(stack), as phi requires.
 
     Copy i of a layer flattens to its pattern, the sorted values
     d * layer.rank(x, y) + (z - 1) * r of each block, translated by
     d * start_i + shift.  Each distinct (layer, covering) pair is mapped
     once: its points are range-checked as phi checks them, and each block's
-    gaps are checked against the expected {d*m, d*(a-m) or d*a, r} once,
-    since translation keeps gaps; a mismatch raises InternalInconsistency.
+    gaps are checked against {d*p, d*q, r} once, since translation keeps
+    gaps; a mismatch raises InternalInconsistency.
     Every copy is emitted as a Part, which checks that it strictly
     increases.  That the copies are disjoint and cover their target is not
     checked here; verify_tiling checks it over every part tile() emits.
@@ -189,26 +181,17 @@ def flatten_blocks(stack: LayerStack, r: int, p: int, q: int, shift: int = 0) ->
         raise ValueError("cannot flatten a bare stack, it has no blocks")
     if r < min_spacing(stack):
         raise ValueError(f"spacing {r} below injectivity bound {min_spacing(stack)}")
-    kinds = {_classify(member) for cov in stack.coverings for member in cov.family}
-    cases = {case for case, _ in kinds}
-    strides = {m for _, m in kinds}
-    if len(cases) != 1:
-        raise ValueError(f"stack mixes axis and skew families: {sorted(kinds)}")
-    case = cases.pop()
-    a = stack.a
-    if case == "axis":
-        if strides != {p} or q != a:
-            raise ValueError(
-                f"axis stack has stride {sorted(strides)} and width {a}, not p={p}, q={q}")
-    elif strides != {p, q}:
-        raise ValueError(f"skew stack has strides {sorted(strides)}, not p={p}, q={q}")
+    family = {member for cov in stack.coverings for member in cov.family}
+    if (family, stack.a) not in ((set(axis_family(p)), q), (set(skew_family(p, q)), p + q)):
+        raise ValueError(f"stack of width {stack.a} and family {sorted(family)} "
+                         f"does not flatten to strides p={p}, q={q}")
 
     patterns: dict[tuple[NiceLayer, int], list[tuple[int, ...]]] = {}
     parts: list[Part] = []
     for layer, cov, start in zip(stack.layers, stack.coverings, stack._starts):
         key = (layer, id(cov))
         if key not in patterns:
-            patterns[key] = _pattern(stack, layer, cov, case, r, p)
+            patterns[key] = _pattern(stack, layer, cov, r, p, q)
         offset = stack.d * start + shift
         # every block has four points, so every pattern is a 4-tuple
         parts += [Part((w + offset, x + offset, y + offset, z + offset))
@@ -216,28 +199,21 @@ def flatten_blocks(stack: LayerStack, r: int, p: int, q: int, shift: int = 0) ->
     return parts
 
 
-def _pattern(stack: LayerStack, layer: NiceLayer, cov: Covering, case: str,
-             r: int, p: int) -> list[tuple[int, ...]]:
+def _pattern(stack: LayerStack, layer: NiceLayer, cov: Covering,
+             r: int, p: int, q: int) -> list[tuple[int, ...]]:
     """Sorted flattened values of each block of one layer copy at offset 0,
-    each checked against its expected gap multiset."""
-    a, d = stack.a, stack.d
+    each checked against the target gap multiset {d*p, d*q, r}."""
+    d = stack.d
+    expected = tuple(sorted((d * p, d * q, r)))
     pattern = []
     for blk in cov.blocks:
-        if case == "axis":
-            m, up = p, a
-        else:
-            if blk.member is None:
-                raise InternalInconsistency("stack block lost its family member")
-            m = blk.member[0][0]
-            up = a - m
         values = []
         for x, y, z in blk.points:
             if not 1 <= z <= stack.height:
                 raise ValueError(f"slice {z} outside 1..{stack.height}")
             values.append(d * layer.rank(x, y) + (z - 1) * r)
         values.sort()
-        got = tuple(sorted(b - a_ for a_, b in pairwise(values)))
-        expected = tuple(sorted((d * m, d * up, r)))
+        got = tuple(sorted(b - a for a, b in pairwise(values)))
         if got != expected:
             raise InternalInconsistency(
                 f"flattened block {blk.points} has gaps {got}, expected {expected}")

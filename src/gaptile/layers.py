@@ -21,16 +21,17 @@ to p - b width-a ones (a = q div p), so the column strides are all p and the
 total width is exactly q; X2 swaps the notched rectangle into the middle
 slot.  The Y layers interleave five narrow skew pieces (stretched to stride
 p) with a top row of stride-q hooks.  Each builder returns the NiceLayer
-descriptor together with its covering, after checking the covering's cells
-are exactly the descriptor's cells.
+descriptor together with its covering.  The builders assemble the covering
+with blocks3d's uncertified algebra, then check that its cells are exactly
+the descriptor's cells and certify it with verify_covering, once per layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocks3d import Covering, base_covering, compose, covering_S4, covering_S7, \
-    replicate_height, stretch_e1, translate
+from .blocks3d import Covering, _affine, _certified, _composed, _notched_rectangle, \
+    _rectangle, _replicated, base_covering
 from .core import InternalInconsistency
 
 
@@ -65,16 +66,16 @@ class NiceLayer:
         raise ValueError(f"cell ({x}, {y}) is outside the layer")
 
 
-def _pinned_stretch(covering: Covering, w: int) -> Covering:
-    # stretch, then shift back so the leftmost column stays at x = 1
-    return translate(stretch_e1(covering, w), 1 - w, 0)
+def _copies(piece: Covering, w: int, columns, dy: int = 0) -> list[Covering]:
+    # piece stretched to column stride w, its column x = 1 moved to 1 + dx
+    return [_affine(piece, w, 1 - w + dx, dy) for dx in columns]
 
 
 def _as_layer(layer: NiceLayer, covering: Covering) -> tuple[NiceLayer, Covering]:
     if covering.cells != layer.cells():
         raise InternalInconsistency(
             f"assembled covering does not match layer shape {layer}")
-    return layer, covering
+    return layer, _certified(covering)
 
 
 def _require_wide(p: int, q: int):
@@ -91,10 +92,9 @@ def layer_x1(p: int, q: int) -> tuple[NiceLayer, Covering]:
     """[q] x [4] covered at height 20 by axis blocks of stride p (q >= 2p)."""
     _require_wide(p, q)
     a, b = divmod(q, p)
-    narrow = _pinned_stretch(covering_S4(a), p)
-    pieces = [translate(_pinned_stretch(covering_S4(a + 1), p), i, 0) for i in range(b)]
-    pieces += [translate(narrow, i, 0) for i in range(b, p)]
-    return _as_layer(NiceLayer(q, 4, 0), compose(pieces))
+    pieces = _copies(_rectangle(a + 1), p, range(b)) if b else []
+    pieces += _copies(_rectangle(a), p, range(b, p))
+    return _as_layer(NiceLayer(q, 4, 0), _composed(pieces))
 
 
 def layer_x2(p: int, q: int) -> tuple[NiceLayer, Covering]:
@@ -105,17 +105,16 @@ def layer_x2(p: int, q: int) -> tuple[NiceLayer, Covering]:
     """
     _require_wide(p, q)
     a, b = divmod(q, p)
-    pieces = [translate(_pinned_stretch(covering_S4(a + 1), p), i, 0) for i in range(b)]
-    pieces.append(translate(_pinned_stretch(covering_S7(a), p), b, 0))
+    pieces = _copies(_rectangle(a + 1), p, range(b)) if b else []
+    pieces += _copies(_notched_rectangle(a), p, [b])
     if b + 1 < p:
-        narrow = _pinned_stretch(covering_S4(a), p)
-        pieces += [translate(narrow, i, 0) for i in range(b + 1, p)]
-    return _as_layer(NiceLayer(q, 3, q + 1), compose(pieces))
+        pieces += _copies(_rectangle(a), p, range(b + 1, p))
+    return _as_layer(NiceLayer(q, 3, q + 1), _composed(pieces))
 
 
-def _skew_piece(name: str, w: int) -> Covering:
-    # narrow catalog piece stretched to column stride w, lifted to height 4
-    return replicate_height(_pinned_stretch(base_covering(name), w), 4)
+def _skew_piece(name: str) -> Covering:
+    # narrow catalog piece lifted to height 4
+    return _replicated(base_covering(name), 4)
 
 
 def layer_y1(p: int, q: int) -> tuple[NiceLayer, Covering]:
@@ -128,26 +127,20 @@ def layer_y1(p: int, q: int) -> tuple[NiceLayer, Covering]:
     """
     _require_near(p, q)
     t = q - p
-    corner1, corner2 = _skew_piece("T1", p), _skew_piece("T2", p)
-    step, stair = _skew_piece("T3", p), _skew_piece("T5", p)
-    hook = _skew_piece("T1", q)
-    pieces = [translate(corner1, i, 0) for i in range(t, p)]
-    pieces += [translate(corner2, i, 1) for i in range(t, p)]
-    pieces += [translate(step, i, 1) for i in range(p, p + t)]
-    pieces += [translate(stair, i, 0) for i in range(t)]
-    pieces += [translate(hook, i, 3) for i in range(p)]
-    return _as_layer(NiceLayer(p + q, 4, p), compose(pieces))
+    pieces = _copies(_skew_piece("T1"), p, range(t, p))
+    pieces += _copies(_skew_piece("T2"), p, range(t, p), 1)
+    pieces += _copies(_skew_piece("T3"), p, range(p, p + t), 1)
+    pieces += _copies(_skew_piece("T5"), p, range(t))
+    pieces += _copies(_skew_piece("T1"), q, range(p), 3)
+    return _as_layer(NiceLayer(p + q, 4, p), _composed(pieces))
 
 
 def layer_y2(p: int, q: int) -> tuple[NiceLayer, Covering]:
     """[p+q] x [3] plus a top row [p] x {4}, the short companion of layer_y1."""
     _require_near(p, q)
     t = q - p
-    corner1, step = _skew_piece("T1", p), _skew_piece("T3", p)
-    square = _skew_piece("T4", p)
-    hook = _skew_piece("T1", q)
-    pieces = [translate(corner1, i, 0) for i in range(t)]
-    pieces += [translate(step, i, 0) for i in range(p, p + t)]
-    pieces += [translate(square, i, 0) for i in range(t, p)]
-    pieces += [translate(hook, i, 2) for i in range(p)]
-    return _as_layer(NiceLayer(p + q, 3, p), compose(pieces))
+    pieces = _copies(_skew_piece("T1"), p, range(t))
+    pieces += _copies(_skew_piece("T3"), p, range(p, p + t))
+    pieces += _copies(_skew_piece("T4"), p, range(t, p))
+    pieces += _copies(_skew_piece("T1"), q, range(p), 2)
+    return _as_layer(NiceLayer(p + q, 3, p), _composed(pieces))

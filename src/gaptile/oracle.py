@@ -123,8 +123,7 @@ def solve_covering(cells, height: int, family: Family,
         return None
 
     # all block shapes that contain their least point at the origin
-    placements: list[tuple[tuple, tuple]] = []
-    seen = set()
+    placements: dict[frozenset, tuple] = {}
     for member in family:
         for perm in sorted(set(permutations(member))):
             walk = [(0, 0, 0)]
@@ -132,10 +131,7 @@ def solve_covering(cells, height: int, family: Family,
                 walk.append(tuple(a + b for a, b in zip(walk[-1], step)))
             base = min(walk)
             shape = tuple(tuple(a - b for a, b in zip(pt, base)) for pt in walk)
-            key = frozenset(shape)
-            if key not in seen:
-                seen.add(key)
-                placements.append((shape, member))
+            placements.setdefault(frozenset(shape), shape)
 
     uncovered = set(universe)
     chosen: list[Block] = []
@@ -149,12 +145,12 @@ def solve_covering(cells, height: int, family: Family,
         if nodes > budget.max_nodes:
             raise _OutOfNodes
         anchor = min(uncovered)
-        for shape, member in placements:
+        for shape in placements.values():
             pts = tuple(tuple(a + b for a, b in zip(anchor, off)) for off in shape)
             if not all(pt in uncovered for pt in pts):
                 continue
             uncovered.difference_update(pts)
-            chosen.append(Block(pts, member))
+            chosen.append(Block(pts))
             if fill():
                 return True
             chosen.pop()

@@ -1,5 +1,8 @@
+import tracemalloc
+from itertools import permutations
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gaptile.blocks3d import (
     BASE_IDS, Block, Covering, axis_family, base_covering, compose,
@@ -7,6 +10,7 @@ from gaptile.blocks3d import (
     covering_to_json, is_block, replicate_height, skew_family, stretch_e1,
     translate, verify_covering,
 )
+from gaptile.core import InternalInconsistency, Verdict
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 AXIS = (E1, E2, E3)
@@ -51,6 +55,60 @@ class TestIsBlock:
             is_block([(0, 0, 0), (0, 0, 0), (1, 0, 0), (1, 1, 0)], AXIS)
 
 
+def is_block_by_walks(points, member):
+    """Reference: the walk search is_block replaced, every start point and
+    every permutation of the member's steps."""
+    pts = {tuple(p) for p in points}
+    for start in sorted(pts):
+        for perm in sorted(set(permutations(member))):
+            walk = [start]
+            for step in perm:
+                walk.append(tuple(a + b for a, b in zip(walk[-1], step)))
+            if set(walk) == pts:
+                return tuple(walk)
+    return None
+
+
+MEMBERS = [m for k in (1, 2, 3) for m in axis_family(k) + skew_family(k, k + 1)] + [
+    ((1, 0, 0), (1, 0, 0), (0, 0, 1)),   # a repeated step
+    ((1, 0, 0), (-1, 0, 0), (0, 0, 1)),  # a walk that revisits its start
+    ((0, 0, 0), (0, 1, 0), (0, 0, 1)),   # a zero step
+]
+
+
+@st.composite
+def four_points(draw):
+    """Four distinct points, half the time a member's walk from a random
+    start with one point possibly nudged."""
+    member = draw(st.sampled_from(MEMBERS))
+    coord = st.integers(-3, 3)
+    if draw(st.booleans()):
+        walk = [(draw(coord), draw(coord), draw(coord))]
+        for step in draw(st.permutations(member)):
+            walk.append(tuple(a + b for a, b in zip(walk[-1], step)))
+        if draw(st.booleans()):
+            i = draw(st.integers(0, 3))
+            walk[i] = tuple(v + draw(st.integers(-1, 1)) for v in walk[i])
+        if len(set(walk)) == 4:
+            return walk, member
+    points = draw(st.lists(st.tuples(coord, coord, coord), min_size=4, max_size=4, unique=True))
+    return points, member
+
+
+class TestIsBlockReference:
+    @given(four_points())
+    def test_matches_walk_search(self, case):
+        points, member = case
+        assert is_block(points, member) == is_block_by_walks(points, member)
+
+    @pytest.mark.parametrize("name", BASE_IDS)
+    def test_catalog_orderings_unchanged(self, name):
+        cov = base_covering(name)
+        for blk in cov.blocks:
+            assert is_block(blk.points, cov.family[0]) == \
+                is_block_by_walks(blk.points, cov.family[0])
+
+
 class TestCatalog:
     @pytest.mark.parametrize("name", BASE_IDS)
     def test_base_covering_verifies(self, name):
@@ -83,13 +141,85 @@ class TestCatalog:
         cov = base_covering("S1")
         blocks = list(cov.blocks)
         bad = tuple((x, y, z + 1) for x, y, z in blocks[0].points)
-        blocks[0] = Block(bad, blocks[0].member)
+        blocks[0] = Block(bad)
         verdict = verify_covering(Covering(cov.cells, cov.height, blocks, cov.family))
         assert not verdict
 
     def test_foreign_family_rejected(self):
         cov = base_covering("T1")
         assert not verify_covering(cov, axis_family(1))
+
+
+def verify_covering_with_sets(covering, family=None):
+    """Reference verifier: the set-based check verify_covering replaced,
+    with the walk search for block validity."""
+    family = covering.family if family is None else family
+    for index, block in enumerate(covering.blocks):
+        if len(set(block.points)) != 4:
+            return Verdict(False, "block", index)
+        if not any(is_block_by_walks(block.points, member) for member in family):
+            return Verdict(False, "block", index)
+    seen = set()
+    for block in covering.blocks:
+        for point in block.points:
+            if point in seen:
+                return Verdict(False, "overlap", point)
+            seen.add(point)
+    target = {(x, y, z) for x, y in covering.cells for z in range(1, covering.height + 1)}
+    if seen != target:
+        return Verdict(False, "coverage", min(seen ^ target))
+    return Verdict(True)
+
+
+@st.composite
+def tampered_coverings(draw):
+    """A catalog covering (or S3), then blocks dropped, repeated or moved,
+    points nudged, cells added or removed, and the height changed."""
+    name = draw(st.sampled_from(BASE_IDS + ("S3",)))
+    cov = covering_S3() if name == "S3" else base_covering(name)
+    blocks = [blk.points for blk in cov.blocks]
+    blocks = [b for b in blocks if draw(st.integers(0, 9))]
+    if blocks and draw(st.booleans()):
+        blocks.insert(draw(st.integers(0, len(blocks))), draw(st.sampled_from(blocks)))
+    shift = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2))
+    for _ in range(draw(st.integers(0, 2))):
+        if blocks:
+            j = draw(st.integers(0, len(blocks) - 1))
+            moved = draw(shift)
+            nudge = [moved] * 4 if draw(st.booleans()) else \
+                [(0, 0, 0)] * 3 + [moved]
+            blocks[j] = tuple(tuple(a + b for a, b in zip(pt, d))
+                              for pt, d in zip(blocks[j], draw(st.permutations(nudge))))
+    cells = set(cov.cells)
+    cells -= set(draw(st.lists(st.sampled_from(sorted(cells)), max_size=2)))
+    cells |= set(draw(st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 5)), max_size=2)))
+    height = cov.height + draw(st.sampled_from([0, 0, 0, -1, 1, cov.height]))
+    return Covering(cells, max(1, height), tuple(Block(b) for b in blocks), cov.family)
+
+
+class TestVerifyCoveringReference:
+    """verify_covering agrees with the set-based reference on every verdict,
+    reason and witness."""
+
+    @given(tampered_coverings())
+    @example(Covering({(1, 1)}, 1, (), axis_family(1)))
+    def test_matches_set_reference(self, cov):
+        got = verify_covering(cov)
+        want = verify_covering_with_sets(cov)
+        assert (got.ok, got.reason, got.witness) == (want.ok, want.reason, want.witness)
+
+    def test_huge_height_memory_follows_blocks(self):
+        s1 = base_covering("S1")
+        cov = Covering(s1.cells, 10**12, s1.blocks, s1.family)
+        verify_covering(s1)  # build is_block's lookup table outside the trace
+        tracemalloc.start()
+        try:
+            v = verify_covering(cov)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (v.ok, v.reason, v.witness) == (False, "coverage", (1, 1, 5))
+        assert peak < 10_000
 
 
 class TestAlgebra:
@@ -99,6 +229,13 @@ class TestAlgebra:
         assert verify_covering(cov)
         back = translate(cov, -3, 1)
         assert back == base_covering("S1")
+
+    def test_translate_certifies_its_result(self):
+        # the public algebra keeps its contract: an invalid result raises
+        cov = base_covering("S1")
+        bad = Covering(cov.cells, cov.height, cov.blocks[1:], cov.family)
+        with pytest.raises(InternalInconsistency):
+            translate(bad, 1, 0)
 
     def test_stretch_identity(self):
         cov = base_covering("S1")
@@ -204,6 +341,19 @@ class TestJson:
             covering_from_json({"cells": [[1, 1, 1]], "height": 1,
                                 "family": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]],
                                 "blocks": []})
+
+    @pytest.mark.parametrize("field,value", [
+        ("height", True),
+        ("cells", [[1, 1], [1, 2], [True, 2]]),
+        ("blocks", [[[1, 1, 1], [1, 2, 1], [2, 2, 1], [2, 2, True]]]),
+        ("blocks", [5]),
+        ("family", 5),
+        ("cells", 5),
+    ])
+    def test_bool_or_non_list_is_malformed(self, field, value):
+        obj = dict(covering_to_json(base_covering("S1")), **{field: value})
+        with pytest.raises(ValueError):
+            covering_from_json(obj)
 
     def test_bad_candidate_loads_then_rejects(self):
         # malformed content (not schema) must yield a reject, not an exception

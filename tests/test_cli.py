@@ -82,6 +82,21 @@ def test_verify_rejects_malformed_json(tmp_path, capsys):
     assert "malformed" in out
 
 
+@pytest.mark.parametrize("command,doc", [
+    ("verify", {"gaps": [True, 1, 1], "interval": [1, 4], "parts": [[1, 2, 3, 4]]}),
+    ("verify", {"gaps": [1, 1, 1], "interval": [1, 4], "parts": 5}),
+    ("verify-covering", dict(covering_to_json(base_covering("S1")), height=True)),
+    ("verify-covering", dict(covering_to_json(base_covering("S1")), cells=[[1, True]])),
+    ("verify-covering", dict(covering_to_json(base_covering("S1")), blocks=[5])),
+])
+def test_verify_rejects_bool_and_non_lists_as_malformed(tmp_path, capsys, command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, command, str(path))
+    assert code == 2
+    assert out.startswith("reject: malformed input")
+
+
 def test_layer_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, "layer", "Y1", "2", "3")
     assert code == 0
@@ -133,6 +148,23 @@ def test_oracle_cover(tmp_path, capsys):
         "--family", "axis:1")
     assert code == 0
     assert verify_covering(covering_from_json(json.loads(out)))
+
+
+@pytest.mark.parametrize("doc", [
+    {"shape": [[1, 1], [1, 2], [2, 2]]},   # no "cells" key
+    [[1, 1], [1, 2], [2, 2]],              # a list, not an object
+    {"cells": [[1, 1], [1, 2, 3]]},        # a cell that is not [x, y]
+    {"cells": [[1, 1], [1, True]]},
+])
+def test_oracle_cover_bad_shape_exits_2(tmp_path, capsys, doc):
+    shape = tmp_path / "shape.json"
+    shape.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys, "oracle", "cover", "--shape", str(shape), "--height", "4",
+        "--family", "axis:1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_usage_errors_exit_64(capsys):

@@ -27,6 +27,10 @@ class TestGapSequence:
         with pytest.raises(ValueError):
             GapSequence(())
 
+    def test_rejects_bool(self):
+        with pytest.raises(ValueError):
+            GapSequence.of(True, 1, 1)
+
     def test_sizes(self):
         g = GapSequence.of(1, 2, 3)
         assert g.set_size == 4
@@ -205,3 +209,13 @@ class TestJson:
             tiling_from_json({"gaps": [1, "x"], "interval": [1, 4], "parts": []})
         with pytest.raises(ValueError):
             tiling_from_json([1, 2, 3])
+
+    @pytest.mark.parametrize("doc", [
+        {"gaps": [True, 1, 1], "interval": [1, 4], "parts": [[1, 2, 3, 4]]},
+        {"gaps": [1, 1, 1], "interval": [True, 4], "parts": [[1, 2, 3, 4]]},
+        {"gaps": [1, 1, 1], "interval": [1, 4], "parts": [[True, 2, 3, 4]]},
+        {"gaps": [1, 1, 1], "interval": [1, 4], "parts": 5},
+    ])
+    def test_bool_or_non_list_is_malformed(self, doc):
+        with pytest.raises(ValueError):
+            tiling_from_json(doc)

@@ -165,7 +165,7 @@ class TestFlattenOnceReference:
     def test_wrong_gaps_raise_internal_inconsistency(self):
         layer, cov = layer_x1(1, 2)
         # a unit square in one slice has gaps {1, 1, 1}, not {1, 2, r}
-        square = Block(((1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1)), cov.blocks[0].member)
+        square = Block(((1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1)))
         bad = Covering(cov.cells, cov.height, (square,) + cov.blocks[1:], cov.family)
         stack = LayerStack((layer, layer), (cov, bad), cov.height, 1)
         with pytest.raises(InternalInconsistency):

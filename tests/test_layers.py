@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from gaptile import blocks3d
 from gaptile.blocks3d import verify_covering
 from gaptile.layers import NiceLayer, layer_x1, layer_x2, layer_y1, layer_y2
 
@@ -118,3 +119,19 @@ class TestNearLayers:
             layer_y1(2, 5)
         with pytest.raises(ValueError):
             layer_y2(3, 2)
+
+
+@pytest.mark.parametrize("build,p,q", [
+    (layer_x1, 3, 7), (layer_x2, 3, 7), (layer_x2, 1, 300), (layer_y1, 2, 3), (layer_y2, 2, 3),
+])
+def test_builder_certifies_its_layer_once(monkeypatch, build, p, q):
+    build(p, q)  # the catalog pieces are certified once per process, here
+    checked = []
+
+    def counted(covering, family=None):
+        checked.append(covering)
+        return verify_covering(covering, family)
+
+    monkeypatch.setattr(blocks3d, "verify_covering", counted)
+    _, cov = build(p, q)
+    assert len(checked) == 1 and checked[0] is cov
