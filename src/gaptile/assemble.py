@@ -171,7 +171,7 @@ def tile(p: int, q: int, r: int) -> Tiling:
     parts: list[Part] = []
     for i in range(1, params.d + 1):
         parts += build_T(params, s + 1 if i <= r_rem else s, i)
-    parts.sort(key=lambda part: part.elements)
+    parts.sort()
     tiling = Tiling(params.d + 1, params.height * r + params.d, tuple(parts))
     verdict = verify_tiling(tiling, GapSequence((p, q, r)))
     if not verdict:

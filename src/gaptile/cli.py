@@ -29,8 +29,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_json(path: str):
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    return json.loads(text)
+    if path == "-":
+        return json.load(sys.stdin)
+    with open(path) as f:
+        return json.load(f)
 
 
 def _cmd_tile(args) -> int:
@@ -42,8 +44,8 @@ def _cmd_tile(args) -> int:
     if args.text:
         print(f"interval [{tiling.lo}, {tiling.hi}]  gaps {tuple(gaps.gaps)}  "
               f"parts {len(tiling.parts)}")
-        for part in sorted(tiling.parts, key=lambda part: part.elements):
-            print(" ".join(str(x) for x in part.elements))
+        for part in sorted(tiling.parts):
+            print(" ".join(map(str, part)))
     else:
         print(json.dumps(tiling_to_json(tiling, gaps)))
     return 0
@@ -126,18 +128,22 @@ def _cmd_render(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"cannot render: {exc}", file=sys.stderr)
         return 2
+    if not covering.cells:
+        print("cannot render: the covering has no cells", file=sys.stderr)
+        return 2
+    # only the slices, rows and columns that hold something, so the output
+    # follows the document's contents rather than its declared height
     owner = {pt: i for i, blk in enumerate(covering.blocks) for pt in blk.points}
-    xs = [x for x, _ in covering.cells]
-    ys = [y for _, y in covering.cells]
+    zs = sorted({z for _, _, z in owner if 1 <= z <= covering.height})
+    ys = sorted({y for _, y in covering.cells}, reverse=True)
+    xs = sorted({x for x, _ in covering.cells})
     width = max(1, len(str(max(0, len(covering.blocks) - 1))))
-    for z in range(1, covering.height + 1):
+    for z in zs:
         print(f"z={z}")
-        for y in range(max(ys), min(ys) - 1, -1):
-            row = []
-            for x in range(min(xs), max(xs) + 1):
-                idx = owner.get((x, y, z))
-                row.append("." * width if idx is None else str(idx).rjust(width))
-            print(" ".join(row))
+        for y in ys:
+            labels = (owner.get((x, y, z)) for x in xs)
+            print(" ".join("." * width if idx is None else str(idx).rjust(width)
+                           for idx in labels))
     return 0
 
 

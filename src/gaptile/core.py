@@ -4,8 +4,9 @@ A finite set of integers x1 < ... < xn has a gap sequence: the multiset of
 consecutive differences x(i+1) - xi, reported in nondecreasing order.  This
 package partitions integer intervals into parts that all share one prescribed
 gap sequence.  The present module holds the shared vocabulary (GapSequence,
-Part, Tiling), the JSON wire format, and verify_tiling, the acceptance check
-that every tiling emitted anywhere in the package must pass.
+Tiling, and Part, which is a plain tuple of integers), the JSON wire format,
+and verify_tiling, the acceptance check that every tiling emitted anywhere
+in the package must pass.
 
 verify_tiling never trusts the construction that produced its input; it
 re-derives everything from the candidate itself.
@@ -14,7 +15,7 @@ re-derives everything from the candidate itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import le, sub
+from operator import eq, sub
 from typing import Any
 
 
@@ -67,28 +68,11 @@ class GapSequence:
         return sum(self.gaps)
 
 
-@dataclass(frozen=True, slots=True)
-class Part:
-    """One part of a tiling: a strictly increasing tuple of integers.
-
-    Slotted: a tiling holds one Part per four integers, and a per-instance
-    __dict__ would double the objects the cyclic garbage collector tracks.
-    """
-
-    elements: tuple[int, ...]
-
-    def __post_init__(self):
-        elements = tuple(self.elements)
-        object.__setattr__(self, "elements", elements)
-        if len(elements) < 1:
-            raise ValueError("a part needs at least one element")
-        if any(map(le, elements[1:], elements)):
-            raise ValueError(f"part is not strictly increasing: {elements!r}")
-
-    @classmethod
-    def from_values(cls, values) -> Part:
-        """Build a part from values in any order; duplicates are an error."""
-        return cls(tuple(sorted(values)))
+#: One part of a tiling: a tuple of integers, strictly increasing wherever
+#: the package builds one.  A plain tuple rather than a class, since a tiling
+#: holds one part per four integers; verify_tiling checks the ordering
+#: through the gaps, which are all positive.
+Part = tuple[int, ...]
 
 
 def gap_multiset(part: Part) -> tuple[int, ...]:
@@ -96,21 +80,29 @@ def gap_multiset(part: Part) -> tuple[int, ...]:
 
     A part with fewer than two elements has no gaps and is rejected.
     """
-    if len(part.elements) < 2:
+    if len(part) < 2:
         raise ValueError("gap multiset needs a part with at least 2 elements")
-    return tuple(sorted(map(sub, part.elements[1:], part.elements)))
+    return tuple(sorted(map(sub, part[1:], part)))
 
 
 @dataclass(frozen=True)
 class Tiling:
-    """A claimed partition of the interval [lo, hi] into parts."""
+    """A claimed partition of the interval [lo, hi] into parts.
+
+    Each part is stored as a tuple; an empty part is a ValueError.  hi < lo
+    is the empty interval: Tiling(5, 4, ()) is its one partition, and any
+    element there is stray.
+    """
 
     lo: int
     hi: int
     parts: tuple[Part, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
+        parts = tuple(map(tuple, self.parts))
+        if not all(parts):
+            raise ValueError("a part needs at least one element")
+        object.__setattr__(self, "parts", parts)
 
     @property
     def length(self) -> int:
@@ -144,8 +136,10 @@ def verify_tiling(tiling: Tiling, gaps: GapSequence) -> Verdict:
 
     Checks run in that fixed order and stop at the first violation; the
     verdict's witness is a duplicated element, the smallest missing or stray
-    integer, or the least element of the offending part respectively.
-    Malformed candidates yield a reject, never an exception.
+    integer, or the least element of the first offending part respectively.
+    Malformed candidates yield a reject, never an exception.  Every
+    prescribed gap is positive, so the gap check also rejects a part whose
+    elements are not in increasing order.
 
     Integers of [lo, hi] are marked in a bytearray indexed by x - lo; every
     other element goes into a set, and an element that is not an integer
@@ -155,11 +149,12 @@ def verify_tiling(tiling: Tiling, gaps: GapSequence) -> Verdict:
     missing integer lies inside the bytearray.
     """
     lo, hi = tiling.lo, tiling.hi
-    window = max(0, min(hi - lo + 1, sum(len(part.elements) for part in tiling.parts) + 1))
+    parts = tiling.parts
+    window = max(0, min(hi - lo + 1, sum(map(len, parts)) + 1))
     marked = bytearray(window)
     others: set = set()
-    for part in tiling.parts:
-        for x in part.elements:
+    for part in parts:
+        for x in part:
             i = x - lo
             if 0 <= i < window and isinstance(i, int):
                 if marked[i]:
@@ -176,9 +171,10 @@ def verify_tiling(tiling: Tiling, gaps: GapSequence) -> Verdict:
     if mismatches:
         return Verdict(False, "coverage", min(mismatches))
     want = gaps.gaps
-    for part in tiling.parts:
-        if len(part.elements) != len(want) + 1 or gap_multiset(part) != want:
-            return Verdict(False, "gaps", part.elements[0])
+    k = len(want) + 1
+    for part in parts:
+        if len(part) != k or tuple(sorted(map(sub, part[1:], part))) != want:
+            return Verdict(False, "gaps", min(part))
     return Verdict(True)
 
 
@@ -187,11 +183,10 @@ def verify_tiling(tiling: Tiling, gaps: GapSequence) -> Verdict:
 def tiling_to_json(tiling: Tiling, gaps: GapSequence) -> dict:
     """Schema: {"gaps": [...], "interval": [lo, hi], "parts": [[...], ...]},
     parts sorted by least element."""
-    parts = sorted(tiling.parts, key=lambda part: part.elements)
     return {
         "gaps": list(gaps.gaps),
         "interval": [tiling.lo, tiling.hi],
-        "parts": [list(part.elements) for part in parts],
+        "parts": [list(part) for part in sorted(tiling.parts)],
     }
 
 
@@ -210,11 +205,21 @@ def tiling_from_json(obj) -> tuple[GapSequence, Tiling]:
     if not isinstance(raw_parts, list):
         raise ValueError("parts must be a list")
     gaps = GapSequence(tuple(_int_list(raw_gaps, "gaps")))
-    parts = tuple(Part.from_values(_int_list(p, "part")) for p in raw_parts)
-    return gaps, Tiling(lo, hi, parts)
+    return gaps, Tiling(lo, hi, tuple(map(_part, raw_parts)))
 
 
 def _int_list(values, what: str) -> list[int]:
     if not isinstance(values, (list, tuple)) or any(type(v) is not int for v in values):
         raise ValueError(f"{what} must be a list of integers, got {values!r}")
     return list(values)
+
+
+def _part(values) -> Part:
+    """A part from a JSON list of integers in any order; an empty part and
+    a duplicated element are errors."""
+    part = tuple(sorted(_int_list(values, "part")))
+    if not part:
+        raise ValueError("a part needs at least one element")
+    if any(map(eq, part[1:], part)):
+        raise ValueError(f"part is not strictly increasing: {part!r}")
+    return part

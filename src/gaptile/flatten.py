@@ -23,12 +23,14 @@ what the nice-layer shape guarantees.
 
 Every copy of a layer in the stack flattens to the same values, shifted by
 d times the copy's start rank, so flatten_blocks maps each distinct
-(layer, covering) pair once and emits the copies as translates.  What
-translation preserves is checked once: the injectivity bound per stack, and
-each block's gap multiset per pattern, so an assembly slip still raises
-InternalInconsistency instead of leaking a wrong part.  What it does not
-preserve, that the copies are disjoint and cover the interval, is checked
-by verify_tiling over every part before assemble.tile returns.
+(layer, covering) pair once and emits the copies as translates, each part a
+plain 4-tuple of integers.  What translation preserves is checked once: the
+injectivity bound per stack, and each block's gap multiset per pattern, so
+an assembly slip still raises InternalInconsistency instead of leaking a
+wrong part.  Since every gap is positive, that check also proves each part
+strictly increases.  What translation does not preserve, that the copies
+are disjoint and cover the interval, is checked by verify_tiling over every
+part before assemble.tile returns.
 """
 
 from __future__ import annotations
@@ -172,10 +174,11 @@ def flatten_blocks(stack: LayerStack, r: int, p: int, q: int, shift: int = 0) ->
     d * start_i + shift.  Each distinct (layer, covering) pair is mapped
     once: its points are range-checked as phi checks them, and each block's
     gaps are checked against {d*p, d*q, r} once, since translation keeps
-    gaps; a mismatch raises InternalInconsistency.
-    Every copy is emitted as a Part, which checks that it strictly
-    increases.  That the copies are disjoint and cover their target is not
-    checked here; verify_tiling checks it over every part tile() emits.
+    gaps; a mismatch raises InternalInconsistency.  The sorted values of a
+    block with positive gaps strictly increase, so every copy is emitted as
+    a plain 4-tuple without further checks.  That the copies are disjoint
+    and cover their target is not checked here; verify_tiling checks it
+    over every part tile() emits.
     """
     if stack.coverings is None:
         raise ValueError("cannot flatten a bare stack, it has no blocks")
@@ -194,7 +197,7 @@ def flatten_blocks(stack: LayerStack, r: int, p: int, q: int, shift: int = 0) ->
             patterns[key] = _pattern(stack, layer, cov, r, p, q)
         offset = stack.d * start + shift
         # every block has four points, so every pattern is a 4-tuple
-        parts += [Part((w + offset, x + offset, y + offset, z + offset))
+        parts += [(w + offset, x + offset, y + offset, z + offset)
                   for w, x, y, z in patterns[key]]
     return parts
 

@@ -6,7 +6,9 @@ uncovered element, which any solution must cover by a part (or block) whose
 minimum sits exactly there, so branching over the few placements anchored at
 that minimum is exhaustive.  With a fixed branching order the searches are
 deterministic; a node budget caps runtime and is reported as a distinct
-outcome instead of being confused with a proven "no solution".
+outcome instead of being confused with a proven "no solution".  The depth
+first search keeps its open nodes on an explicit stack, so the depth of a
+solution is bounded by memory, not by the interpreter's recursion limit.
 
 Nothing here shares logic with the builders or verifiers it cross-checks.
 """
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from itertools import accumulate, permutations
 
 from .blocks3d import Block, Covering, Family, verify_covering
-from .core import GapSequence, InternalInconsistency, Part, Tiling
+from .core import GapSequence, InternalInconsistency, Tiling
 
 
 @dataclass(frozen=True)
@@ -43,8 +45,32 @@ class _BudgetExhausted:
 BUDGET_EXHAUSTED = _BudgetExhausted()
 
 
-class _OutOfNodes(Exception):
-    pass
+def _depth_first(branches, place, undo, budget: SearchBudget):
+    """Depth first search over placements, on an explicit stack.
+
+    branches() returns None when nothing is left to cover, else the list of
+    placements that fit at the least uncovered element, in branching order.
+    place(choice) applies a placement, undo() reverts the latest one, so
+    every sibling is tried from the state its list was made in.  Each
+    branches() call that returns a list is one node.  Returns True when
+    solved, None when the search space is exhausted, or BUDGET_EXHAUSTED.
+    """
+    stack = []
+    nodes = 0
+    while True:
+        options = branches()
+        if options is None:
+            return True
+        nodes += 1
+        if nodes > budget.max_nodes:
+            return BUDGET_EXHAUSTED
+        stack.append(iter(options))
+        while (choice := next(stack[-1], None)) is None:
+            stack.pop()
+            if not stack:
+                return None
+            undo()
+        place(choice)
 
 
 def solve_interval(gaps: GapSequence, n: int, budget: SearchBudget | None = None):
@@ -62,38 +88,29 @@ def solve_interval(gaps: GapSequence, n: int, budget: SearchBudget | None = None
     offsets = sorted({tuple(accumulate(perm)) for perm in permutations(gaps.gaps)})
     free = [False] + [True] * n  # 1-based
     chosen: list[tuple[int, ...]] = []
-    nodes = 0
 
-    def extend(low: int) -> bool:
-        nonlocal nodes
+    def branches():
+        low = chosen[-1][0] + 1 if chosen else 1
         while low <= n and not free[low]:
             low += 1
         if low > n:
-            return True
-        nodes += 1
-        if nodes > budget.max_nodes:
-            raise _OutOfNodes
-        for off in offsets:
-            pts = (low, *(low + o for o in off))
-            if pts[-1] > n or not all(free[x] for x in pts[1:]):
-                continue
-            for x in pts:
-                free[x] = False
-            chosen.append(pts)
-            if extend(low + 1):
-                return True
-            chosen.pop()
-            for x in pts:
-                free[x] = True
-        return False
+            return None
+        shifted = ((low, *(low + o for o in off)) for off in offsets)
+        return [pts for pts in shifted if pts[-1] <= n and all(free[x] for x in pts[1:])]
 
-    try:
-        found = extend(1)
-    except _OutOfNodes:
-        return BUDGET_EXHAUSTED
-    if not found:
-        return None
-    return Tiling(1, n, tuple(Part(pts) for pts in chosen))
+    def place(pts):
+        for x in pts:
+            free[x] = False
+        chosen.append(pts)
+
+    def undo():
+        for x in chosen.pop():
+            free[x] = True
+
+    found = _depth_first(branches, place, undo, budget)
+    if found is not True:
+        return found
+    return Tiling(1, n, tuple(chosen))
 
 
 def min_interval(gaps: GapSequence, n_max: int, budget: SearchBudget | None = None):
@@ -134,36 +151,27 @@ def solve_covering(cells, height: int, family: Family,
             placements.setdefault(frozenset(shape), shape)
 
     uncovered = set(universe)
-    chosen: list[Block] = []
-    nodes = 0
+    chosen: list[tuple] = []
 
-    def fill() -> bool:
-        nonlocal nodes
+    def branches():
         if not uncovered:
-            return True
-        nodes += 1
-        if nodes > budget.max_nodes:
-            raise _OutOfNodes
-        anchor = min(uncovered)
-        for shape in placements.values():
-            pts = tuple(tuple(a + b for a, b in zip(anchor, off)) for off in shape)
-            if not all(pt in uncovered for pt in pts):
-                continue
-            uncovered.difference_update(pts)
-            chosen.append(Block(pts))
-            if fill():
-                return True
-            chosen.pop()
-            uncovered.update(pts)
-        return False
+            return None
+        x, y, z = min(uncovered)
+        shifted = (tuple((x + dx, y + dy, z + dz) for dx, dy, dz in shape)
+                   for shape in placements.values())
+        return [pts for pts in shifted if uncovered.issuperset(pts)]
 
-    try:
-        found = fill()
-    except _OutOfNodes:
-        return BUDGET_EXHAUSTED
-    if not found:
-        return None
-    covering = Covering(cells, height, tuple(chosen), tuple(family))
+    def place(pts):
+        uncovered.difference_update(pts)
+        chosen.append(pts)
+
+    def undo():
+        uncovered.update(chosen.pop())
+
+    found = _depth_first(branches, place, undo, budget)
+    if found is not True:
+        return found
+    covering = Covering(cells, height, tuple(map(Block, chosen)), tuple(family))
     verdict = verify_covering(covering)
     if not verdict:
         raise InternalInconsistency(f"search produced a bad covering, {verdict.message()}")

@@ -130,7 +130,7 @@ def test_criterion_8_shifted_copies_partition():
             s, r_rem = divmod(r, params.d)
             copies = [
                 {x for part in build_T(params, s + 1 if i <= r_rem else s, i)
-                 for x in part.elements}
+                 for x in part}
                 for i in range(1, params.d + 1)]
             for left, right in combinations(copies, 2):
                 assert not left & right

@@ -101,15 +101,14 @@ class TestBuildT:
         params = plan(1, 1, 48)
         parts = build_T(params, 48, 0)
         assert len(parts) == 48  # l * s / 4 = 4 * 48 / 4
-        covered = sorted(x for part in parts for x in part.elements)
+        covered = sorted(x for part in parts for x in part)
         assert covered == list(range(1, 193))
 
     def test_shift_translates_everything(self):
         params = plan(1, 1, 48)
         base = build_T(params, 48, 0)
         shifted = build_T(params, 48, 5)
-        assert [p.elements for p in shifted] == \
-            [tuple(x + 5 for x in p.elements) for p in base]
+        assert shifted == [tuple(x + 5 for x in p) for p in base]
 
     def test_outside_good_window(self):
         params = plan(1, 1, 48)
@@ -141,7 +140,7 @@ class TestTile:
 
     def test_parts_sorted_by_least_element(self):
         tiling = tile(1, 1, 48)
-        starts = [part.elements[0] for part in tiling.parts]
+        starts = [part[0] for part in tiling.parts]
         assert starts == sorted(starts)
 
     def test_below_threshold_raises(self):

@@ -1,12 +1,18 @@
+import contextlib
+import gc
 import io
 import json
+import warnings
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gaptile.blocks3d import base_covering, covering_to_json, verify_covering, \
+from gaptile.blocks3d import BASE_IDS, base_covering, covering_to_json, verify_covering, \
     covering_from_json
 from gaptile.cli import main
 from gaptile.core import tiling_from_json, verify_tiling
+from gaptile.layers import layer_x1, layer_x2, layer_y1, layer_y2
 
 
 def run(capsys, *argv):
@@ -97,6 +103,60 @@ def test_verify_rejects_bool_and_non_lists_as_malformed(tmp_path, capsys, comman
     assert out.startswith("reject: malformed input")
 
 
+def test_read_json_closes_its_file(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(
+        {"gaps": [1, 1, 1], "interval": [1, 4], "parts": [[1, 2, 3, 4]]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert run(capsys, "verify", str(path))[0] == 0
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**30, 10**30) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner,
+                                                                 max_size=3),
+    max_leaves=8)
+_INTS = st.lists(st.integers(-10**30, 10**30) | st.integers(-3, 12), max_size=6)
+
+
+@st.composite
+def fuzzed_tiling_docs(draw):
+    """A valid tiling document with random values put in place of its gaps,
+    interval, parts or elements, or with fields dropped; now and then any
+    JSON value at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_JSON)
+    doc = {"gaps": [1, 1, 1], "interval": [1, 8], "parts": [[1, 2, 3, 4], [5, 6, 7, 8]]}
+    if draw(st.booleans()):
+        doc["gaps"] = draw(_JSON | _INTS)
+    if draw(st.booleans()):
+        doc["interval"] = draw(_JSON | st.lists(st.integers(-10**30, 10**30), min_size=2,
+                                                max_size=2))
+    if draw(st.booleans()):
+        doc["parts"] = draw(_JSON | st.lists(_JSON | _INTS, max_size=4))
+    elif draw(st.booleans()):
+        part = draw(st.integers(0, 1))
+        doc["parts"][part] = draw(_JSON | _INTS)
+    for name in draw(st.lists(st.sampled_from(sorted(doc)), max_size=1)):
+        del doc[name]
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzzed_tiling_docs())
+def test_verify_fuzzed_json_gives_a_verdict(doc):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "-"])
+    text = out.getvalue()
+    assert err.getvalue() == ""
+    assert (code, text) == (0, "accept\n") or (code == 2 and text.startswith("reject: "))
+
+
 def test_layer_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, "layer", "Y1", "2", "3")
     assert code == 0
@@ -127,6 +187,72 @@ def test_render_line_count(tmp_path, capsys):
     labels = {ch for ch in out if ch.isdigit()} - {"1", "2", "3", "4"} or True
     body = "\n".join(line for line in lines if not line.startswith("z="))
     assert {c for c in body.split() if c != "."} == {"0", "1", "2"}
+
+
+def render_bounding_box(covering) -> str:
+    """Reference: every slice 1..height and every row and column of the
+    cells' bounding box, as render printed them before it skipped empty ones."""
+    owner = {pt: i for i, blk in enumerate(covering.blocks) for pt in blk.points}
+    xs = [x for x, _ in covering.cells]
+    ys = [y for _, y in covering.cells]
+    width = max(1, len(str(max(0, len(covering.blocks) - 1))))
+    lines = []
+    for z in range(1, covering.height + 1):
+        lines.append(f"z={z}")
+        for y in range(max(ys), min(ys) - 1, -1):
+            row = []
+            for x in range(min(xs), max(xs) + 1):
+                idx = owner.get((x, y, z))
+                row.append("." * width if idx is None else str(idx).rjust(width))
+            lines.append(" ".join(row))
+    return "".join(line + "\n" for line in lines)
+
+
+_RENDERED = {name: base_covering(name) for name in BASE_IDS}
+_RENDERED.update({f"{name}({p},{q})": build(p, q)[1]
+                  for name, build, pqs in [("X1", layer_x1, [(1, 2), (2, 5)]),
+                                           ("X2", layer_x2, [(1, 2), (2, 5)]),
+                                           ("Y1", layer_y1, [(1, 1), (2, 3)]),
+                                           ("Y2", layer_y2, [(1, 1), (2, 3)])]
+                  for p, q in pqs})
+
+
+@pytest.mark.parametrize("covering", _RENDERED.values(), ids=_RENDERED.keys())
+def test_render_matches_bounding_box_reference(tmp_path, capsys, covering):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(covering_to_json(covering)))
+    code, out, _ = run(capsys, "render", str(path))
+    assert code == 0
+    assert out == render_bounding_box(covering)
+
+
+class _Capped(io.StringIO):
+    """stdout that fails a test once it has taken more than a megabyte."""
+
+    def write(self, text):
+        if self.tell() + len(text) > 10**6:
+            raise AssertionError("render output exceeds 1 MB")
+        return super().write(text)
+
+
+def test_render_follows_blocks_not_declared_height(tmp_path, capsys):
+    doc = covering_to_json(base_covering("S1"))
+    path = tmp_path / "s1.json"
+    path.write_text(json.dumps(doc))
+    want = run(capsys, "render", str(path))
+    path.write_text(json.dumps(dict(doc, height=10**9)))
+    out = _Capped()
+    with contextlib.redirect_stdout(out):
+        code = main(["render", str(path)])
+    assert (code, out.getvalue()) == want[:2]
+
+
+def test_render_without_cells_exits_2(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(dict(covering_to_json(base_covering("S1")), cells=[], blocks=[])))
+    code, out, err = run(capsys, "render", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("cannot render: ")
 
 
 def test_oracle_gaps(capsys):
@@ -165,6 +291,17 @@ def test_oracle_cover_bad_shape_exits_2(tmp_path, capsys, doc):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_oracle_cover_deep_search_exits_2(tmp_path, capsys):
+    # a covering is 3000 blocks deep; the search passes depth 1000, the
+    # default recursion limit, before its 1500-node budget runs out
+    shape = tmp_path / "shape.json"
+    shape.write_text(json.dumps({"cells": [[1, 1], [1, 2], [2, 2]]}))
+    code, out, err = run(
+        capsys, "oracle", "cover", "--shape", str(shape), "--height", "4000",
+        "--family", "axis:1", "--budget", "1500")
+    assert (code, out, err) == (2, "", "budget exhausted\n")
 
 
 def test_usage_errors_exit_64(capsys):

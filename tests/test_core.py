@@ -1,10 +1,11 @@
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from gaptile.assemble import plan, threshold, tile
 from gaptile.core import (
-    GapSequence, Part, Tiling, Verdict, gap_multiset,
+    GapSequence, Tiling, Verdict, gap_multiset,
     tiling_from_json, tiling_to_json, verify_tiling,
 )
 
@@ -14,7 +15,7 @@ def triple(*gaps):
 
 
 def parts(*element_lists):
-    return tuple(Part(tuple(xs)) for xs in element_lists)
+    return tuple(tuple(xs) for xs in element_lists)
 
 
 class TestGapSequence:
@@ -41,22 +42,43 @@ class TestGapMultiset:
     def test_cumulative_offsets(self):
         # {0, p, p+q, p+q+r} must give back {p, q, r}
         for p, q, r in [(1, 2, 3), (2, 2, 5), (4, 1, 1)]:
-            part = Part.from_values([0, p, p + q, p + q + r])
+            part = (0, p, p + q, p + q + r)
             assert gap_multiset(part) == tuple(sorted((p, q, r)))
 
     def test_examples(self):
-        assert gap_multiset(Part((1, 2, 4, 7))) == (1, 2, 3)
-        assert gap_multiset(Part((3, 5, 6))) == (1, 2)
+        assert gap_multiset((1, 2, 4, 7)) == (1, 2, 3)
+        assert gap_multiset((3, 5, 6)) == (1, 2)
 
     def test_short_part_rejected(self):
         with pytest.raises(ValueError):
-            gap_multiset(Part((5,)))
+            gap_multiset((5,))
+
+
+class TestParts:
+    """A part is a plain tuple: the JSON reader rejects a repeated element,
+    verify_tiling an element order that no positive gaps can give."""
 
     def test_part_must_increase(self):
-        with pytest.raises(ValueError):
-            Part((1, 1, 2, 3))
-        with pytest.raises(ValueError):
-            Part.from_values([4, 4, 5, 6])
+        for raw in ([1, 1, 2, 3], [4, 4, 5, 6], [6, 4, 5, 4]):
+            with pytest.raises(ValueError, match="not strictly increasing"):
+                tiling_from_json({"gaps": [1, 1, 1], "interval": [1, 4], "parts": [raw]})
+        v = verify_tiling(Tiling(1, 4, ((2, 1, 3, 4),)), triple(1, 1, 1))
+        assert (v.ok, v.reason, v.witness) == (False, "gaps", 1)
+
+    def test_empty_part_rejected(self):
+        with pytest.raises(ValueError, match="at least one element"):
+            Tiling(1, 4, ((),))
+        with pytest.raises(ValueError, match="at least one element"):
+            tiling_from_json({"gaps": [1, 1, 1], "interval": [1, 4], "parts": [[]]})
+
+    def test_parts_stored_as_tuples(self):
+        t = Tiling(1, 4, [[1, 2, 3, 4]])
+        assert t.parts == ((1, 2, 3, 4),)
+
+    def test_hi_below_lo_is_the_empty_interval(self):
+        assert verify_tiling(Tiling(5, 4, ()), triple(1))
+        v = verify_tiling(Tiling(5, 4, ((5, 6),)), triple(1))
+        assert (v.ok, v.reason, v.witness) == (False, "coverage", 5)
 
 
 class TestVerifyTiling:
@@ -89,7 +111,7 @@ class TestVerifyTiling:
     def test_accepting_tiling_has_consistent_counts(self):
         t = Tiling(1, 8, parts([1, 2, 3, 4], [5, 6, 7, 8]))
         assert verify_tiling(t, triple(1, 1, 1))
-        assert sum(len(p.elements) for p in t.parts) == t.length
+        assert sum(len(p) for p in t.parts) == t.length
         assert len(t.parts) * 4 == t.length
 
     def test_verifier_is_pure(self):
@@ -102,11 +124,11 @@ class TestVerifyTiling:
     def test_singleton_acceptance_characterized(self, raw, gaps):
         # one part tiles [min, max] iff it is 4 consecutive integers whose
         # differences match the prescribed multiset
-        part = Part.from_values(raw)
-        t = Tiling(part.elements[0], part.elements[-1], (part,))
+        part = tuple(sorted(raw))
+        t = Tiling(part[0], part[-1], (part,))
         g = GapSequence(gaps)
         expected = (gap_multiset(part) == g.gaps
-                    and part.elements[-1] - part.elements[0] == 3)
+                    and part[-1] - part[0] == 3)
         assert bool(verify_tiling(t, g)) == expected
 
     def test_verdict_is_falsy_with_message(self):
@@ -119,7 +141,7 @@ def verify_tiling_with_sets(tiling, gaps):
     """Reference verifier: the set-based check verify_tiling replaced."""
     seen = set()
     for part in tiling.parts:
-        for x in part.elements:
+        for x in part:
             if x in seen:
                 return Verdict(False, "disjointness", x)
             seen.add(x)
@@ -128,8 +150,8 @@ def verify_tiling_with_sets(tiling, gaps):
         return Verdict(False, "coverage", min(seen ^ interval))
     want = gaps.gaps
     for part in tiling.parts:
-        if len(part.elements) != len(want) + 1 or gap_multiset(part) != want:
-            return Verdict(False, "gaps", part.elements[0])
+        if len(part) != len(want) + 1 or gap_multiset(part) != want:
+            return Verdict(False, "gaps", part[0])
     return Verdict(True)
 
 
@@ -150,7 +172,7 @@ def candidate_tilings(draw):
     chunks += draw(st.lists(extra, max_size=3))
     chunks += draw(st.lists(st.sampled_from(chunks), max_size=2)) if chunks else []
     order = draw(st.permutations(range(len(chunks))))
-    tiling = Tiling(lo, hi, tuple(Part.from_values(chunks[i]) for i in order))
+    tiling = Tiling(lo, hi, tuple(tuple(sorted(chunks[i])) for i in order))
     gaps = GapSequence((1,) * max(1, size - 1))
     if draw(st.booleans()):
         gaps = GapSequence(tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))))
@@ -189,6 +211,32 @@ class TestVerifyTilingReference:
         t = Tiling(1, 1000, parts([1, 2, 3, 50], [50, 51, 52, 53]))
         v = verify_tiling(t, triple(1, 1, 47))
         assert (v.reason, v.witness) == ("disjointness", 50)
+
+
+class TestTileAgainstReference:
+    """tile() output passes the set-based reference verifier for random
+    small (p, q) and r in [threshold, threshold + 50]."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 50))
+    @example(1, 3, 0)   # big branch
+    @example(3, 4, 50)  # small branch, gcd 1
+    @example(2, 4, 7)   # the branch boundary q = 2p, gcd 2
+    @example(6, 6, 1)   # small branch, gcd 6
+    def test_tile_passes_reference_verifier(self, p, q, extra):
+        r = threshold(p, q) + extra
+        tiling = tile(p, q, r)
+        v = verify_tiling_with_sets(tiling, GapSequence((p, q, r)))
+        assert (v.ok, v.reason, v.witness) == (True, "", None)
+        assert all(type(part) is tuple and list(part) == sorted(set(part))
+                   for part in tiling.parts)
+        assert list(tiling.parts) == sorted(tiling.parts)
+
+    def test_examples_cover_both_branches_and_gcd(self):
+        plans = [plan(p, q, threshold(p, q) + e)
+                 for p, q, e in [(1, 3, 0), (3, 4, 50), (2, 4, 7), (6, 6, 1)]]
+        assert {(params.branch, params.d > 1) for params in plans} == \
+            {("big", False), ("small", False), ("small", True)}
 
 
 class TestJson:

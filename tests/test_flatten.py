@@ -101,7 +101,7 @@ class TestFlattenBlocks:
         stack = LayerStack.build([layer_y1(2, 3), layer_y2(2, 3)], 1)
         r = min_spacing(stack) + 7
         parts = flatten_blocks(stack, r, 2, 3)
-        covered = [x for part in parts for x in part.elements]
+        covered = [x for part in parts for x in part]
         assert len(covered) == len(set(covered))
         assert set(covered) == phi_image(stack, r)
 
@@ -154,7 +154,7 @@ class TestFlattenOnceReference:
     @pytest.mark.parametrize("stack,r,p,q", REPEATED_STACKS)
     def test_matches_per_point_phi(self, stack, r, p, q, shift):
         assert len(set(stack.layers)) < len(stack.layers)
-        got = sorted(part.elements for part in flatten_blocks(stack, r, p, q, shift))
+        got = sorted(flatten_blocks(stack, r, p, q, shift))
         assert got == sorted(flatten_with_phi(stack, r, shift))
 
     def test_spacing_below_bound_rejected(self):

@@ -27,7 +27,7 @@ class TestSolveInterval:
     def test_unit_gaps(self):
         result = solve_interval(GapSequence.of(1, 1, 1), 4)
         assert isinstance(result, Tiling)
-        assert result.parts[0].elements == (1, 2, 3, 4)
+        assert result.parts[0] == (1, 2, 3, 4)
 
     def test_non_divisible_length(self):
         assert solve_interval(GapSequence.of(1, 1, 1), 6) is None
@@ -66,6 +66,23 @@ class TestSolveInterval:
     def test_bad_length(self):
         with pytest.raises(ValueError):
             solve_interval(GapSequence.of(1, 1, 1), 0)
+
+    def test_deep_instance_does_not_recurse(self):
+        # 2000 parts deep, twice the default recursion limit
+        g = GapSequence.of(1, 1, 1)
+        result = solve_interval(g, 8000)
+        assert isinstance(result, Tiling)
+        assert verify_tiling(result, g)
+
+    @pytest.mark.parametrize("gaps,n,nodes,found", [
+        ((1, 2, 3), 24, 18, True), ((1, 1, 2), 8, 2, True), ((1, 3), 6, 3, True),
+        ((1, 1, 2), 12, 5, False), ((3, 4, 5), 24, 100, False),
+    ])
+    def test_node_count(self, gaps, n, nodes, found):
+        # the least budget that settles each instance, as the recursive search counted it
+        g = GapSequence(gaps)
+        assert solve_interval(g, n, SearchBudget(nodes - 1)) is BUDGET_EXHAUSTED
+        assert isinstance(solve_interval(g, n, SearchBudget(nodes)), Tiling) == found
 
 
 class TestMinInterval:
@@ -110,6 +127,15 @@ class TestSolveCovering:
         found = solve_covering(cells, 2, skew_family(1, 2))
         if found is not None and found is not BUDGET_EXHAUSTED:
             assert verify_covering(found)
+
+    @pytest.mark.parametrize("name,nodes", [("S1", 10), ("T5", 4), ("S4_2x4", 2596)])
+    def test_node_count(self, name, nodes):
+        # the least budget that finds each catalog covering, as the recursive search counted it
+        base = base_covering(name)
+        assert solve_covering(base.cells, base.height, base.family,
+                              SearchBudget(nodes - 1)) is BUDGET_EXHAUSTED
+        found = solve_covering(base.cells, base.height, base.family, SearchBudget(nodes))
+        assert verify_covering(found)
 
     def test_deterministic(self):
         base = base_covering("T4")
