@@ -15,7 +15,9 @@ re-derives everything from the candidate itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import eq, sub
+from itertools import chain, compress, count, islice, repeat
+from numbers import Real
+from operator import eq, itemgetter, ne, sub
 from typing import Any
 
 
@@ -136,30 +138,40 @@ def verify_tiling(tiling: Tiling, gaps: GapSequence) -> Verdict:
 
     Checks run in that fixed order and stop at the first violation; the
     verdict's witness is a duplicated element, the smallest missing or stray
-    integer, or the least element of the first offending part respectively.
-    Malformed candidates yield a reject, never an exception.  Every
-    prescribed gap is positive, so the gap check also rejects a part whose
-    elements are not in increasing order.
+    number (else the first stray that is not a number), or the least element
+    of the first offending part respectively.  Malformed candidates yield a
+    reject, never an exception.  Every prescribed gap is positive, so the
+    gap check also rejects a part whose elements are not in increasing
+    order.
 
     Integers of [lo, hi] are marked in a bytearray indexed by x - lo; every
-    other element goes into a set, and an element that is not an integer
-    counts as stray.  The bytearray spans at most (number of elements + 1)
-    integers, so memory follows the input, not the interval: an interval
-    longer than that cannot be covered, and by pigeonhole its smallest
-    missing integer lies inside the bytearray.
+    other real number goes into a set, and an element that is not an
+    integer counts as stray.  An element that is not a real number is never
+    subtracted, compared or hashed: it is only kept, in the order met, as a
+    stray.  The bytearray spans at most (number of elements + 1) integers,
+    so memory follows the input, not the interval: an interval longer than
+    that cannot be covered, and by pigeonhole its smallest missing integer
+    lies inside the bytearray.
+
+    The gaps of each part are compared as a tuple of consecutive
+    differences, taken column by column over the parts, in a table that
+    sorts each distinct tuple once: a tiling repeats a few shapes many
+    times, and the table never holds more entries than there are parts.
     """
     lo, hi = tiling.lo, tiling.hi
     parts = tiling.parts
     window = max(0, min(hi - lo + 1, sum(map(len, parts)) + 1))
     marked = bytearray(window)
     others: set = set()
+    strays: list = []
     for part in parts:
         for x in part:
-            i = x - lo
-            if 0 <= i < window and isinstance(i, int):
+            if isinstance(x, int) and 0 <= (i := x - lo) < window:
                 if marked[i]:
                     return Verdict(False, "disjointness", x)
                 marked[i] = 1
+            elif not isinstance(x, Real):
+                strays.append(x)
             elif x in others:
                 return Verdict(False, "disjointness", x)
             else:
@@ -168,14 +180,31 @@ def verify_tiling(tiling: Tiling, gaps: GapSequence) -> Verdict:
     missing = marked.find(0)
     if missing >= 0:
         mismatches.append(lo + missing)
-    if mismatches:
-        return Verdict(False, "coverage", min(mismatches))
+    if mismatches or strays:
+        return Verdict(False, "coverage", min(mismatches) if mismatches else strays[0])
     want = gaps.gaps
     k = len(want) + 1
-    for part in parts:
-        if len(part) != k or tuple(sorted(map(sub, part[1:], part))) != want:
-            return Verdict(False, "gaps", min(part))
+    # parts before the first one of another length: look up their differences
+    j = next(compress(count(), map(ne, map(len, parts), repeat(k))), len(parts))
+    columns = [map(sub, map(itemgetter(i + 1), islice(parts, j)),
+                   map(itemgetter(i), islice(parts, j))) for i in range(k - 1)]
+    bad = next(compress(count(), map(_GapMismatch(want).__getitem__, zip(*columns))), j)
+    if bad < len(parts):
+        return Verdict(False, "gaps", min(parts[bad]))
     return Verdict(True)
+
+
+class _GapMismatch(dict):
+    """Consecutive differences -> whether their sorted multiset differs from
+    want; each distinct tuple is sorted once, on its first lookup."""
+
+    def __init__(self, want: tuple[int, ...]):
+        super().__init__()
+        self.want = want
+
+    def __missing__(self, diffs: tuple[int, ...]) -> bool:
+        bad = self[diffs] = tuple(sorted(diffs)) != self.want
+        return bad
 
 
 # ---------- JSON wire format ----------
@@ -191,7 +220,12 @@ def tiling_to_json(tiling: Tiling, gaps: GapSequence) -> dict:
 
 
 def tiling_from_json(obj) -> tuple[GapSequence, Tiling]:
-    """Inverse of tiling_to_json; raises ValueError on schema violations."""
+    """Inverse of tiling_to_json; raises ValueError on schema violations.
+
+    The parts are checked in bulk (see _parts) and read one by one with
+    _part only when a bulk check fails, so a valid document costs a few
+    builtin passes over its parts and an invalid one gets _part's error.
+    """
     if not isinstance(obj, dict):
         raise ValueError("tiling JSON must be an object")
     try:
@@ -205,13 +239,32 @@ def tiling_from_json(obj) -> tuple[GapSequence, Tiling]:
     if not isinstance(raw_parts, list):
         raise ValueError("parts must be a list")
     gaps = GapSequence(tuple(_int_list(raw_gaps, "gaps")))
-    return gaps, Tiling(lo, hi, tuple(map(_part, raw_parts)))
+    return gaps, Tiling(lo, hi, _parts(raw_parts))
 
 
 def _int_list(values, what: str) -> list[int]:
     if not isinstance(values, (list, tuple)) or any(type(v) is not int for v in values):
         raise ValueError(f"{what} must be a list of integers, got {values!r}")
     return list(values)
+
+
+def _parts(raw_parts: list) -> tuple[Part, ...]:
+    """The parts of a JSON parts list, as tuple(map(_part, raw_parts)) gives
+    them, with _part's rules checked over the whole list at once.
+
+    Every part a list or tuple, every element an int (type is int, so bool
+    fails), no part empty, no part with a repeated element: each is one
+    pass of builtins over the list, not a Python call per part.  When any
+    of them fails, the parts are read again one by one with _part, which
+    raises the same ValueError, for the same first part, as it always has.
+    """
+    if (set(map(type, raw_parts)) <= {list, tuple}
+            and set(map(type, chain.from_iterable(raw_parts))) <= {int}
+            and all(raw_parts)):
+        parts = tuple(map(tuple, map(sorted, raw_parts)))
+        if not any(map(ne, map(len, map(set, parts)), map(len, parts))):
+            return parts
+    return tuple(map(_part, raw_parts))
 
 
 def _part(values) -> Part:

@@ -10,6 +10,15 @@ outcome instead of being confused with a proven "no solution".  The depth
 first search keeps its open nodes on an explicit stack, so the depth of a
 solution is bounded by memory, not by the interpreter's recursion limit.
 
+Each search finds its least uncovered element by scanning forward, in
+sorted order, from the least element of its latest placement: everything
+before that is covered.  solve_covering keeps one row per anchor, the
+placements anchored there that fit inside the slab, in branching order,
+built the first time the search reaches that anchor, as the precomputed
+rows of Knuth's Algorithm X ("Dancing Links", arXiv cs/0011047); a node
+then only keeps the row's placements that are still uncovered.  Rows are
+filled lazily, so their memory follows the nodes visited, not the slab.
+
 Nothing here shares logic with the builders or verifiers it cross-checks.
 """
 
@@ -135,7 +144,9 @@ def solve_covering(cells, height: int, family: Family,
     if height < 1:
         raise ValueError(f"height must be positive, got {height}")
     cells = frozenset(tuple(c) for c in cells)
-    universe = frozenset((x, y, z) for x, y in cells for z in range(1, height + 1))
+    # the slab in sorted order: cells sorted, then z ascending
+    order = [(x, y, z) for x, y in sorted(cells) for z in range(1, height + 1)]
+    universe = frozenset(order)
     if len(universe) % 4:
         return None
 
@@ -150,28 +161,36 @@ def solve_covering(cells, height: int, family: Family,
             shape = tuple(tuple(a - b for a, b in zip(pt, base)) for pt in walk)
             placements.setdefault(frozenset(shape), shape)
 
+    # rows[i]: the placements anchored at order[i] inside the slab, in
+    # branching order, each as (i, points); built when a node first gets there
+    rows: dict[int, list] = {}
     uncovered = set(universe)
-    chosen: list[tuple] = []
+    chosen: list[tuple[int, tuple]] = []
 
     def branches():
-        if not uncovered:
+        i = chosen[-1][0] + 1 if chosen else 0
+        while i < len(order) and order[i] not in uncovered:
+            i += 1
+        if i == len(order):
             return None
-        x, y, z = min(uncovered)
-        shifted = (tuple((x + dx, y + dy, z + dz) for dx, dy, dz in shape)
-                   for shape in placements.values())
-        return [pts for pts in shifted if uncovered.issuperset(pts)]
+        if (options := rows.get(i)) is None:
+            x, y, z = order[i]
+            shifted = (tuple((x + dx, y + dy, z + dz) for dx, dy, dz in shape)
+                       for shape in placements.values())
+            options = rows[i] = [(i, pts) for pts in shifted if universe.issuperset(pts)]
+        return [option for option in options if uncovered.issuperset(option[1])]
 
-    def place(pts):
-        uncovered.difference_update(pts)
-        chosen.append(pts)
+    def place(option):
+        uncovered.difference_update(option[1])
+        chosen.append(option)
 
     def undo():
-        uncovered.update(chosen.pop())
+        uncovered.update(chosen.pop()[1])
 
     found = _depth_first(branches, place, undo, budget)
     if found is not True:
         return found
-    covering = Covering(cells, height, tuple(map(Block, chosen)), tuple(family))
+    covering = Covering(cells, height, tuple(Block(pts) for _, pts in chosen), tuple(family))
     verdict = verify_covering(covering)
     if not verdict:
         raise InternalInconsistency(f"search produced a bad covering, {verdict.message()}")

@@ -157,6 +157,71 @@ def test_verify_fuzzed_json_gives_a_verdict(doc):
     assert (code, text) == (0, "accept\n") or (code == 2 and text.startswith("reject: "))
 
 
+_COORD = st.integers(-3, 6) | st.integers(-10**30, 10**30)
+
+
+def _point_lists(arity):
+    return st.lists(_COORD, min_size=arity, max_size=arity)
+
+
+def _sometimes(draw):
+    return draw(st.integers(0, 3)) == 0
+
+
+@st.composite
+def fuzzed_covering_docs(draw):
+    """A valid covering document (S1, T2 or a small layer) with random
+    values put in place of its cells, height or family, blocks moved,
+    repeated or dropped, or a field dropped; now and then any JSON value."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_JSON)
+    base = draw(st.sampled_from([base_covering("S1"), base_covering("T2"),
+                                 layer_y1(1, 2)[1]]))
+    doc = covering_to_json(base)
+    if _sometimes(draw):
+        doc["cells"] = draw(st.lists(_point_lists(2), max_size=5) | _JSON
+                            | st.lists(_point_lists(2) | _JSON, max_size=5))
+    if _sometimes(draw):
+        doc["height"] = draw(st.integers(-2, 10**12) | st.sampled_from([base.height, 10**12])
+                             | _JSON)
+    if _sometimes(draw):
+        member = st.lists(_point_lists(3), min_size=3, max_size=3)
+        doc["family"] = draw(st.lists(member, max_size=3) | _JSON
+                             | st.lists(member | _JSON, max_size=3))
+    blocks, original = doc["blocks"], covering_to_json(base)["blocks"]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(blocks) - 1))
+        action = draw(st.integers(0, 3))
+        if action == 0:
+            del blocks[i]
+        elif action == 1:
+            blocks.append(blocks[i])
+        elif action == 2:
+            dx = draw(st.integers(-1, 1))
+            blocks[i] = [[x + dx, y, z] for x, y, z in original[i % len(original)]]
+        else:
+            blocks[i] = draw(st.lists(_point_lists(3), min_size=4, max_size=4) | _JSON)
+        if not blocks:
+            break
+    if _sometimes(draw):
+        doc["blocks"] = draw(_JSON)
+    if _sometimes(draw):
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzzed_covering_docs())
+def test_verify_covering_fuzzed_json_gives_a_verdict(doc):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify-covering", "-"])
+    text = out.getvalue()
+    assert err.getvalue() == ""
+    assert (code, text) == (0, "accept\n") or (code == 2 and text.startswith("reject: "))
+
+
 def test_layer_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, "layer", "Y1", "2", "3")
     assert code == 0

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gaptile.assemble import plan, threshold, tile
 from gaptile.core import (
-    GapSequence, Tiling, Verdict, gap_multiset,
+    GapSequence, Tiling, Verdict, _part, gap_multiset,
     tiling_from_json, tiling_to_json, verify_tiling,
 )
 
@@ -157,25 +157,43 @@ def verify_tiling_with_sets(tiling, gaps):
 
 @st.composite
 def candidate_tilings(draw):
-    """Tilings near a partition of [lo, hi]: the interval, in order or
-    shuffled, cut into parts, then parts dropped, repeated or added, with
-    elements inside and outside the interval."""
+    """Tilings near a partition of [lo, hi]: the interval, in order, shuffled
+    or with a few nearby elements swapped, cut into parts of k elements with
+    parts of other lengths in between, then parts dropped, repeated or
+    added, with elements inside and outside the interval.  The gaps have
+    k - 1 entries for k from 2 to 5: all 1, random, or those of one of the
+    parts, so that right-gap, wrong-gap and wrong-length parts interleave."""
     lo = draw(st.integers(-20, 20))
     hi = lo + draw(st.integers(-3, 24))
     values = list(range(lo, hi + 1))
     if draw(st.booleans()):
         values = draw(st.permutations(values))
-    size = draw(st.integers(1, 4))
-    chunks = [values[i:i + size] for i in range(0, len(values), size)]
+    elif values:
+        for _ in range(draw(st.integers(0, 4))):
+            i = draw(st.integers(0, len(values) - 1))
+            j = min(len(values) - 1, i + draw(st.integers(1, 3)))
+            values[i], values[j] = values[j], values[i]
+    k = draw(st.integers(2, 5))
+    chunks, start = [], 0
+    while start < len(values):
+        size = k if draw(st.integers(0, 3)) else draw(st.integers(1, 6))
+        chunks.append(values[start:start + size])
+        start += size
     chunks = [c for c in chunks if draw(st.integers(0, 9)) != 0]
-    extra = st.lists(st.integers(lo - 6, hi + 6), min_size=1, max_size=5, unique=True)
-    chunks += draw(st.lists(extra, max_size=3))
-    chunks += draw(st.lists(st.sampled_from(chunks), max_size=2)) if chunks else []
+    if draw(st.booleans()):
+        extra = st.lists(st.integers(lo - 6, hi + 6), min_size=1, max_size=5, unique=True)
+        chunks += draw(st.lists(extra, max_size=3))
+        chunks += draw(st.lists(st.sampled_from(chunks), max_size=2)) if chunks else []
     order = draw(st.permutations(range(len(chunks))))
     tiling = Tiling(lo, hi, tuple(tuple(sorted(chunks[i])) for i in order))
-    gaps = GapSequence((1,) * max(1, size - 1))
-    if draw(st.booleans()):
-        gaps = GapSequence(tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))))
+    gaps = GapSequence((1,) * (k - 1))
+    shaped = [part for part in tiling.parts if len(part) == k]
+    choice = draw(st.integers(0, 2))
+    if choice == 1:
+        gaps = GapSequence(tuple(draw(st.lists(st.integers(1, 3), min_size=k - 1,
+                                               max_size=k - 1))))
+    elif choice == 2 and shaped:
+        gaps = GapSequence(gap_multiset(draw(st.sampled_from(shaped))))
     return tiling, gaps
 
 
@@ -212,6 +230,63 @@ class TestVerifyTilingReference:
         v = verify_tiling(t, triple(1, 1, 47))
         assert (v.reason, v.witness) == ("disjointness", 50)
 
+    def test_first_wrong_length_part_after_right_length_parts(self):
+        # (5, 6) is the first part of another length; (9, 10, 11, 13) after
+        # it has the wrong gaps but comes later
+        t = Tiling(1, 13, parts([1, 2, 3, 4], [5, 6], [7, 8], [9, 10, 11, 13], [12]))
+        v = verify_tiling(t, triple(1, 1, 1))
+        assert (v.reason, v.witness) == ("gaps", 5)
+        t = Tiling(1, 13, parts([1, 2, 3, 5], [4, 6], [7, 8], [9, 10, 11, 12], [13]))
+        v = verify_tiling(t, triple(1, 1, 1))
+        assert (v.reason, v.witness) == ("gaps", 1)
+
+    def test_long_gap_sequence(self):
+        # 19 gaps: a table of every order of distinct gaps would hold 19!
+        # entries, the check sorts each distinct difference tuple once
+        runs = Tiling(0, 39, (tuple(range(20)), tuple(range(20, 40))))
+        evens_odds = Tiling(0, 39, (tuple(range(0, 40, 2)), tuple(range(1, 40, 2))))
+        for tiling, gaps, want in [
+            (runs, (1,) * 19, (True, "", None)),
+            (runs, tuple(range(1, 20)), (False, "gaps", 0)),
+            (evens_odds, (2,) * 19, (True, "", None)),
+            (evens_odds, (1,) * 19, (False, "gaps", 0)),
+        ]:
+            v = verify_tiling(tiling, GapSequence(gaps))
+            assert (v.ok, v.reason, v.witness) == want
+
+
+class TestNonNumericElements:
+    """An element that is not a number is a stray: a reject, never an
+    exception, with the least numeric mismatch as witness, else the first
+    such stray met.  Verdicts on ints and floats are as before."""
+
+    @pytest.mark.parametrize("element", ["a", None, [4]])
+    def test_stray_beside_a_missing_integer(self, element):
+        v = verify_tiling(Tiling(1, 4, ((element, 1, 2, 3),)), triple(1, 1, 1))
+        assert (v.ok, v.reason, v.witness) == (False, "coverage", 4)
+
+    @pytest.mark.parametrize("element", ["a", None, [4]])
+    def test_stray_is_the_witness_when_no_number_mismatches(self, element):
+        t = Tiling(1, 4, ((1, 2), (3, element, 4), ([5], "b")))
+        v = verify_tiling(t, triple(1))
+        assert (v.ok, v.reason, v.witness) == (False, "coverage", element)
+
+    def test_mixed_types_take_the_least_number(self):
+        t = Tiling(1, 4, ((1, "a", 2, [3]), (None, 3, 4, 9.5, 7), ((8,), "a")))
+        v = verify_tiling(t, triple(1, 1, 1))
+        assert (v.ok, v.reason, v.witness) == (False, "coverage", 7)
+
+    def test_disjointness_still_comes_first(self):
+        t = Tiling(1, 4, (([4], 1, 2), ([4], 2, 3)))
+        v = verify_tiling(t, triple(1, 1, 1))
+        assert (v.ok, v.reason, v.witness) == (False, "disjointness", 2)
+
+    def test_floats_unchanged(self):
+        v = verify_tiling(Tiling(1, 4, ((1.0, 2, 3, 4),)), triple(1, 1, 1))
+        assert (v.ok, v.reason, v.witness) == (False, "coverage", 1.0)
+        v = verify_tiling(Tiling(1, 4, ((1, 2, 3, 4), (2.5, 2.5))), triple(1, 1, 1))
+        assert (v.ok, v.reason, v.witness) == (False, "disjointness", 2.5)
+
 
 class TestTileAgainstReference:
     """tile() output passes the set-based reference verifier for random
@@ -239,6 +314,15 @@ class TestTileAgainstReference:
             {("big", False), ("small", False), ("small", True)}
 
 
+_ELEMENT = (st.integers(-5, 5) | st.integers(-10**30, 10**30) | st.booleans()
+            | st.floats() | st.text(max_size=2) | st.none()
+            | st.lists(st.integers(0, 3), max_size=2))
+_RAW_PART = (st.lists(st.integers(-4, 4), max_size=5)
+             | st.lists(st.integers(-4, 4), max_size=5).map(tuple)
+             | st.lists(_ELEMENT, max_size=5)
+             | _ELEMENT)
+
+
 class TestJson:
     def test_round_trip_sorts_parts(self):
         t = Tiling(1, 8, parts([5, 6, 7, 8], [1, 2, 3, 4]))
@@ -257,6 +341,27 @@ class TestJson:
             tiling_from_json({"gaps": [1, "x"], "interval": [1, 4], "parts": []})
         with pytest.raises(ValueError):
             tiling_from_json([1, 2, 3])
+
+    @settings(max_examples=300)
+    @given(st.lists(_RAW_PART, max_size=6))
+    @example([[4, 3, 2, 1], [1, 2, 3, 4]])
+    @example([[1, 2], [3, 3]])
+    @example([[1, 2], [True, 3]])
+    @example([(1, 2), []])
+    @example([[1.0, 2], "ab"])
+    def test_bulk_reader_matches_per_part_reference(self, raw):
+        def read(parse):
+            try:
+                return parse()
+            except ValueError as exc:
+                return f"ValueError: {exc}"
+
+        doc = {"gaps": [1], "interval": [1, 4], "parts": raw}
+        got = read(lambda: tiling_from_json(doc)[1].parts)
+        want = read(lambda: tuple(map(_part, raw)))
+        assert got == want
+        if not isinstance(got, str):
+            assert all(type(part) is tuple for part in got)
 
     @pytest.mark.parametrize("doc", [
         {"gaps": [True, 1, 1], "interval": [1, 4], "parts": [[1, 2, 3, 4]]},
