@@ -10,6 +10,9 @@ For gaps normalized to p <= q the builder picks one of two layer regimes:
         d = gcd(p, q), sizes n1 = (5p + 4q)/d and n2 = (4p + 3q)/d, valid
         once r >= (5p + 4q - d) * (4p + 3q - d) / d.
 
+Both bounds are d * (n1 - 1)(n2 - 1); threshold() and plan() take the
+applicable regime with the least one from a single table.
+
 In both regimes gcd(n1, n2) = 1, so by the two-coin bound every s with
 (n1 - 1)(n2 - 1) <= s <= (r - 1 + d)/d is a nonnegative combination
 s = count1 * n1 + count2 * n2; the upper end of that window is exactly the
@@ -38,12 +41,10 @@ from .layers import NiceLayer, layer_x1, layer_x2, layer_y1, layer_y2
 
 @dataclass(frozen=True)
 class PlanParameters:
-    """Everything tile() needs once the branch is chosen.
-
-    layer1/layer2 are the two (NiceLayer, Covering) building blocks;
-    stride1/stride2 the column strides handed to the flattener (the reduced
-    gaps in the small branch).  s_min is the lower end of the good window,
-    r_rem the remainder r mod d that decides how many copies are enlarged.
+    """Everything tile() needs once the regime is chosen: its row of the
+    regime table (the strides are the reduced gaps in the small branch), its
+    two (NiceLayer, Covering) layers, their common height, and s_min, the
+    lower end of the good window.
     """
 
     p: int
@@ -51,26 +52,33 @@ class PlanParameters:
     r: int
     branch: str
     d: int
-    r1: int
-    r2: int
     n1: int
     n2: int
     height: int
     s_min: int
-    r_rem: int
     layer1: tuple[NiceLayer, Covering]
     layer2: tuple[NiceLayer, Covering]
     stride1: int
     stride2: int
 
 
-def _bound_big(q: int) -> int:
-    return 4 * q * (4 * q - 1)
+def _regime(p: int, q: int) -> tuple:
+    """Of the regimes (branch, d, n1, n2, stride1, stride2, builder1,
+    builder2) that apply to 1 <= p <= q, the one with the least bound; big
+    wins a tie at q = 2p.  Builders are looked up here at call time."""
+    regimes = []
+    if q >= 2 * p:
+        regimes.append(("big", 1, 4 * q, 4 * q + 1, p, q, layer_x1, layer_x2))
+    if q <= 2 * p:
+        d = math.gcd(p, q)
+        regimes.append(("small", d, (5 * p + 4 * q) // d, (4 * p + 3 * q) // d,
+                        p // d, q // d, layer_y1, layer_y2))
+    return min(regimes, key=_bound)
 
 
-def _bound_small(p: int, q: int) -> int:
-    d = math.gcd(p, q)
-    return (5 * p + 4 * q - d) * (4 * p + 3 * q - d) // d
+def _bound(regime: tuple) -> int:
+    _, d, n1, n2, *_ = regime
+    return d * (n1 - 1) * (n2 - 1)
 
 
 def threshold(p: int, q: int) -> int:
@@ -78,12 +86,7 @@ def threshold(p: int, q: int) -> int:
     p, q = sorted((p, q))
     if p < 1:
         raise ValueError(f"gaps must be positive integers, got ({p}, {q})")
-    bounds = []
-    if q >= 2 * p:
-        bounds.append(_bound_big(q))
-    if q <= 2 * p:
-        bounds.append(_bound_small(p, q))
-    return min(bounds)
+    return _bound(_regime(p, q))
 
 
 def decompose_good(s: int, n1: int, n2: int) -> tuple[int, int]:
@@ -105,37 +108,27 @@ def decompose_good(s: int, n1: int, n2: int) -> tuple[int, int]:
 def plan(p: int, q: int, r: int) -> PlanParameters:
     """Choose the regime for gaps (p, q, r) and prebuild its two layers.
 
-    Raises UnsupportedParameters when r is below threshold(p, q).  At the
-    regime boundary q = 2p both branches apply and the one with the smaller
-    threshold wins.
+    Raises UnsupportedParameters when r is below threshold(p, q), the
+    chosen regime's bound.
     """
     p, q = sorted((p, q))
     if p < 1 or r < 1:
         raise ValueError(f"gaps must be positive integers, got ({p}, {q}, {r})")
-    r0 = threshold(p, q)
+    regime = _regime(p, q)
+    r0 = _bound(regime)
     if r < r0:
         raise UnsupportedParameters(
             f"r={r} is below the guaranteed threshold {r0} for gaps ({p}, {q})",
             threshold=r0)
-    use_big = q > 2 * p or (q == 2 * p and _bound_big(q) <= _bound_small(p, q))
-    if use_big:
-        branch, d = "big", 1
-        r1, r2 = 4 * q, 4 * q + 1
-        stride1, stride2 = p, q
-        layer1, layer2 = layer_x1(p, q), layer_x2(p, q)
-    else:
-        branch, d = "small", math.gcd(p, q)
-        r1, r2 = 5 * p + 4 * q, 4 * p + 3 * q
-        stride1, stride2 = p // d, q // d
-        layer1, layer2 = layer_y1(stride1, stride2), layer_y2(stride1, stride2)
-    n1, n2 = r1 // d, r2 // d
+    branch, d, n1, n2, stride1, stride2, build1, build2 = regime
+    layer1, layer2 = build1(stride1, stride2), build2(stride1, stride2)
     if math.gcd(n1, n2) != 1 or n1 != layer1[0].size or n2 != layer2[0].size:
         raise InternalInconsistency(f"layer sizes {n1}, {n2} violate the plan's assumptions")
     height = math.lcm(layer1[1].height, layer2[1].height)
     return PlanParameters(
-        p=p, q=q, r=r, branch=branch, d=d, r1=r1, r2=r2, n1=n1, n2=n2,
-        height=height, s_min=(n1 - 1) * (n2 - 1), r_rem=r % d,
-        layer1=layer1, layer2=layer2, stride1=stride1, stride2=stride2)
+        p=p, q=q, r=r, branch=branch, d=d, n1=n1, n2=n2, height=height,
+        s_min=(n1 - 1) * (n2 - 1), layer1=layer1, layer2=layer2,
+        stride1=stride1, stride2=stride2)
 
 
 def build_stack(params: PlanParameters, s: int) -> LayerStack:

@@ -8,6 +8,8 @@ member"; the two kinds used here are
     axis member   (m*e1, e2, e3)            unit steps plus a column jump m
     skew member   (m*e1, e2 - m*e1, e3)     the row step leans back m columns
 
+A block is a plain 4-tuple of point tuples (Block), judged by verify_covering.
+
 A covering of a planar shape S at height h is a partition of the slab
 S x {1..h} into family blocks.  This module ships a small catalog of base
 coverings over tiny shapes, an algebra to assemble larger ones (translate,
@@ -59,26 +61,17 @@ def skew_family(p: int, q: int) -> Family:
     return tuple(members)
 
 
-@dataclass(frozen=True)
-class Block:
-    """Four points of Z^3 that should form a family block.
-
-    The stored order is a convenience; verification re-derives an ordering
-    with is_block and never trusts this one.
-    """
-
-    points: tuple[Point3, Point3, Point3, Point3]
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(tuple(p) for p in self.points))
-        if len(self.points) != 4:
-            raise ValueError(f"a block has exactly 4 points, got {len(self.points)}")
+#: Four points of Z^3.  Their order is a convenience: verify_covering
+#: rejects a block that is not four distinct points, and re-derives an
+#: ordering with is_block.
+Block = tuple[Point3, Point3, Point3, Point3]
 
 
 @dataclass(frozen=True)
 class Covering:
     """A shape, a height, the blocks partitioning shape x {1..height}, and
-    the family the blocks are drawn from."""
+    the family the blocks are drawn from.  Cells, blocks and their points are
+    stored as tuples, whatever sequences they were given as."""
 
     cells: frozenset[Cell]
     height: int
@@ -87,7 +80,7 @@ class Covering:
 
     def __post_init__(self):
         object.__setattr__(self, "cells", frozenset(tuple(c) for c in self.cells))
-        object.__setattr__(self, "blocks", tuple(self.blocks))
+        object.__setattr__(self, "blocks", tuple(tuple(map(tuple, b)) for b in self.blocks))
         object.__setattr__(self, "family", tuple(self.family))
         if self.height < 1:
             raise ValueError("covering height must be positive")
@@ -143,11 +136,12 @@ def verify_covering(covering: Covering, family: Family | None = None) -> Verdict
     if family is None:
         family = covering.family
     for index, block in enumerate(covering.blocks):
-        if len(set(block.points)) != 4 or not any(is_block(block.points, m) for m in family):
+        if (len(block) != 4 or len(set(block)) != 4
+                or not any(is_block(block, m) for m in family)):
             return Verdict(False, "block", index)
     seen: set[Point3] = set()
     for block in covering.blocks:
-        for point in block.points:
+        for point in block:
             if point in seen:
                 return Verdict(False, "overlap", point)
             seen.add(point)
@@ -264,7 +258,7 @@ def base_covering(name: str) -> Covering:
         cells, height, member, blocks = _BASE[name]
     except KeyError:
         raise ValueError(f"unknown base covering {name!r}, expected one of {BASE_IDS}") from None
-    return _certified(Covering(cells, height, tuple(Block(b) for b in blocks), (member,)))
+    return _certified(Covering(cells, height, blocks, (member,)))
 
 
 # ---------- covering algebra: private forms build, public forms certify ----------
@@ -274,9 +268,7 @@ def _affine(covering: Covering, w: int, dx: int, dy: int) -> Covering:
     (m*e1, ...) family becomes (w*m*e1, ...)."""
     cells = frozenset((w * x + dx, y + dy) for x, y in covering.cells)
     family = tuple(tuple((w * v[0], v[1], v[2]) for v in member) for member in covering.family)
-    blocks = tuple(
-        Block(tuple((w * x + dx, y + dy, z) for x, y, z in blk.points))
-        for blk in covering.blocks)
+    blocks = tuple(tuple((w * x + dx, y + dy, z) for x, y, z in blk) for blk in covering.blocks)
     return Covering(cells, covering.height, blocks, family)
 
 
@@ -284,9 +276,8 @@ def _replicated(covering: Covering, height: int) -> Covering:
     if height < 1 or height % covering.height:
         raise ValueError(
             f"target height {height} is not a multiple of covering height {covering.height}")
-    blocks = tuple(
-        Block(tuple((x, y, z + dz) for x, y, z in blk.points))
-        for dz in range(0, height, covering.height) for blk in covering.blocks)
+    blocks = tuple(tuple((x, y, z + dz) for x, y, z in blk)
+                   for dz in range(0, height, covering.height) for blk in covering.blocks)
     return Covering(covering.cells, height, blocks, covering.family)
 
 
@@ -412,7 +403,7 @@ def covering_to_json(covering: Covering) -> dict:
         "cells": [list(c) for c in sorted(covering.cells)],
         "height": covering.height,
         "family": [[list(v) for v in member] for member in covering.family],
-        "blocks": [[list(p) for p in blk.points] for blk in covering.blocks],
+        "blocks": [[list(p) for p in blk] for blk in covering.blocks],
     }
 
 
@@ -433,7 +424,7 @@ def covering_from_json(obj) -> Covering:
     if not isinstance(raw_family, list) or not isinstance(raw_blocks, list):
         raise ValueError("family and blocks must be lists")
     family = tuple(_points(m, 3, 3, "a family member") for m in raw_family)
-    blocks = tuple(Block(_points(b, 4, 3, "a block")) for b in raw_blocks)
+    blocks = tuple(_points(b, 4, 3, "a block") for b in raw_blocks)
     return Covering(cells, height, blocks, family)
 
 

@@ -16,7 +16,7 @@ from .blocks3d import axis_family, covering_from_json, covering_to_json, \
 from .core import GapSequence, InternalInconsistency, UnsupportedParameters, \
     tiling_from_json, tiling_to_json, verify_tiling
 from .layers import layer_x1, layer_x2, layer_y1, layer_y2
-from .oracle import SearchBudget, Tiling, min_interval, solve_covering
+from .oracle import BUDGET_EXHAUSTED, SearchBudget, min_interval, solve_covering
 
 
 class _UsageError(Exception):
@@ -101,24 +101,21 @@ def _parse_family(text: str):
 
 
 def _cmd_oracle(args) -> int:
-    budget = SearchBudget(args.budget) if args.budget else None
+    budget = None if args.budget is None else SearchBudget(args.budget)
     if args.what == "gaps":
         gaps = GapSequence(tuple(int(x) for x in args.gaps.split(",")))
-        found = min_interval(gaps, args.max_n, budget)
-        if found is None:
-            print(f"no tiling of [1, n] for any n <= {args.max_n}", file=sys.stderr)
-            return 2
-        n, tiling = found
-        print(json.dumps(tiling_to_json(tiling, gaps)))
-        return 0
-    family = _parse_family(args.family)
-    cells = shape_from_json(_read_json(args.shape))
-    result = solve_covering(cells, args.height, family, budget)
-    if not hasattr(result, "blocks"):
-        reason = "budget exhausted" if result is not None else "no covering exists"
-        print(reason, file=sys.stderr)
+        result = min_interval(gaps, args.max_n, budget)
+        none = f"no tiling of [1, n] for any n <= {args.max_n}"
+    else:
+        family = _parse_family(args.family)
+        cells = shape_from_json(_read_json(args.shape))
+        result = solve_covering(cells, args.height, family, budget)
+        none = "no covering exists"
+    if result is None or result is BUDGET_EXHAUSTED:
+        print(none if result is None else "budget exhausted", file=sys.stderr)
         return 2
-    print(json.dumps(covering_to_json(result)))
+    doc = tiling_to_json(result[1], gaps) if args.what == "gaps" else covering_to_json(result)
+    print(json.dumps(doc))
     return 0
 
 
@@ -133,7 +130,7 @@ def _cmd_render(args) -> int:
         return 2
     # only the slices, rows and columns that hold something, so the output
     # follows the document's contents rather than its declared height
-    owner = {pt: i for i, blk in enumerate(covering.blocks) for pt in blk.points}
+    owner = {pt: i for i, blk in enumerate(covering.blocks) for pt in blk}
     zs = sorted({z for _, _, z in owner if 1 <= z <= covering.height})
     ys = sorted({y for _, y in covering.cells}, reverse=True)
     xs = sorted({x for x, _ in covering.cells})

@@ -211,7 +211,7 @@ def _pattern(stack: LayerStack, layer: NiceLayer, cov: Covering,
     pattern = []
     for blk in cov.blocks:
         values = []
-        for x, y, z in blk.points:
+        for x, y, z in blk:
             if not 1 <= z <= stack.height:
                 raise ValueError(f"slice {z} outside 1..{stack.height}")
             values.append(d * layer.rank(x, y) + (z - 1) * r)
@@ -219,6 +219,6 @@ def _pattern(stack: LayerStack, layer: NiceLayer, cov: Covering,
         got = tuple(sorted(b - a for a, b in pairwise(values)))
         if got != expected:
             raise InternalInconsistency(
-                f"flattened block {blk.points} has gaps {got}, expected {expected}")
+                f"flattened block {blk} has gaps {got}, expected {expected}")
         pattern.append(tuple(values))
     return pattern

@@ -17,7 +17,8 @@ placements anchored there that fit inside the slab, in branching order,
 built the first time the search reaches that anchor, as the precomputed
 rows of Knuth's Algorithm X ("Dancing Links", arXiv cs/0011047); a node
 then only keeps the row's placements that are still uncovered.  Rows are
-filled lazily, so their memory follows the nodes visited, not the slab.
+filled lazily and the slab is indexed, not stored, so memory follows the
+nodes visited, not the slab.
 
 Nothing here shares logic with the builders or verifiers it cross-checks.
 """
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, permutations
 
-from .blocks3d import Block, Covering, Family, verify_covering
+from .blocks3d import Covering, Family, verify_covering
 from .core import GapSequence, InternalInconsistency, Tiling
 
 
@@ -123,14 +124,17 @@ def solve_interval(gaps: GapSequence, n: int, budget: SearchBudget | None = None
 
 
 def min_interval(gaps: GapSequence, n_max: int, budget: SearchBudget | None = None):
-    """Smallest n <= n_max with a tiling of [1, n], as (n, Tiling); None when
-    every candidate length fails within the budget."""
+    """Least n <= n_max whose search finds a tiling of [1, n], as (n, Tiling);
+    lengths whose search ran out of budget are skipped.  None is a proof that
+    no n <= n_max works; without one, BUDGET_EXHAUSTED when a search ran out."""
     size = gaps.set_size
+    exhausted = False
     for n in range(size, n_max + 1, size):
         result = solve_interval(gaps, n, budget)
         if isinstance(result, Tiling):
             return n, result
-    return None
+        exhausted = exhausted or result is BUDGET_EXHAUSTED
+    return BUDGET_EXHAUSTED if exhausted else None
 
 
 def solve_covering(cells, height: int, family: Family,
@@ -144,10 +148,10 @@ def solve_covering(cells, height: int, family: Family,
     if height < 1:
         raise ValueError(f"height must be positive, got {height}")
     cells = frozenset(tuple(c) for c in cells)
-    # the slab in sorted order: cells sorted, then z ascending
-    order = [(x, y, z) for x, y in sorted(cells) for z in range(1, height + 1)]
-    universe = frozenset(order)
-    if len(universe) % 4:
+    # point i of the slab in sorted order is (*columns[i // height], i % height + 1)
+    columns = sorted(cells)
+    size = len(columns) * height
+    if size % 4:
         return None
 
     # all block shapes that contain their least point at the origin
@@ -161,36 +165,37 @@ def solve_covering(cells, height: int, family: Family,
             shape = tuple(tuple(a - b for a, b in zip(pt, base)) for pt in walk)
             placements.setdefault(frozenset(shape), shape)
 
-    # rows[i]: the placements anchored at order[i] inside the slab, in
+    # rows[i]: the placements anchored at point i inside the slab, in
     # branching order, each as (i, points); built when a node first gets there
     rows: dict[int, list] = {}
-    uncovered = set(universe)
+    covered: set[tuple[int, int, int]] = set()
     chosen: list[tuple[int, tuple]] = []
 
     def branches():
         i = chosen[-1][0] + 1 if chosen else 0
-        while i < len(order) and order[i] not in uncovered:
+        while i < size and (*columns[i // height], i % height + 1) in covered:
             i += 1
-        if i == len(order):
+        if i == size:
             return None
         if (options := rows.get(i)) is None:
-            x, y, z = order[i]
+            (x, y), z = columns[i // height], i % height + 1
             shifted = (tuple((x + dx, y + dy, z + dz) for dx, dy, dz in shape)
                        for shape in placements.values())
-            options = rows[i] = [(i, pts) for pts in shifted if universe.issuperset(pts)]
-        return [option for option in options if uncovered.issuperset(option[1])]
+            options = rows[i] = [(i, pts) for pts in shifted
+                                 if all(pt[:2] in cells and 1 <= pt[2] <= height for pt in pts)]
+        return [option for option in options if covered.isdisjoint(option[1])]
 
     def place(option):
-        uncovered.difference_update(option[1])
+        covered.update(option[1])
         chosen.append(option)
 
     def undo():
-        uncovered.update(chosen.pop()[1])
+        covered.difference_update(chosen.pop()[1])
 
     found = _depth_first(branches, place, undo, budget)
     if found is not True:
         return found
-    covering = Covering(cells, height, tuple(Block(pts) for _, pts in chosen), tuple(family))
+    covering = Covering(cells, height, tuple(pts for _, pts in chosen), tuple(family))
     verdict = verify_covering(covering)
     if not verdict:
         raise InternalInconsistency(f"search produced a bad covering, {verdict.message()}")

@@ -1,10 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gaptile.assemble import build_T, build_stack, decompose_good, plan, threshold, tile
 from gaptile.core import GapSequence, UnsupportedParameters, verify_tiling
+from gaptile.layers import layer_x1, layer_x2, layer_y1, layer_y2
 
 
 def brute_decompositions(s, n1, n2):
@@ -94,6 +95,58 @@ class TestPlan:
 
     def test_normalizes_argument_order(self):
         assert plan(4, 2, 216).branch == "small"
+
+
+def two_function_reference(p, q):
+    """Reference: the threshold and the plan fields as threshold() and plan()
+    chose the regime separately, before one regime table drove both."""
+    p, q = sorted((p, q))
+    bound_big = 4 * q * (4 * q - 1)
+    g = math.gcd(p, q)
+    bound_small = (5 * p + 4 * q - g) * (4 * p + 3 * q - g) // g
+    bounds = []
+    if q >= 2 * p:
+        bounds.append(bound_big)
+    if q <= 2 * p:
+        bounds.append(bound_small)
+    use_big = q > 2 * p or (q == 2 * p and bound_big <= bound_small)
+    if use_big:
+        branch, d = "big", 1
+        r1, r2 = 4 * q, 4 * q + 1
+        stride1, stride2 = p, q
+        layer1, layer2 = layer_x1(p, q), layer_x2(p, q)
+    else:
+        branch, d = "small", g
+        r1, r2 = 5 * p + 4 * q, 4 * p + 3 * q
+        stride1, stride2 = p // d, q // d
+        layer1, layer2 = layer_y1(stride1, stride2), layer_y2(stride1, stride2)
+    n1, n2 = r1 // d, r2 // d
+    return min(bounds), {
+        "branch": branch, "d": d, "n1": n1, "n2": n2, "stride1": stride1,
+        "stride2": stride2, "height": math.lcm(layer1[1].height, layer2[1].height),
+        "s_min": (n1 - 1) * (n2 - 1)}
+
+
+def check_against_reference(p, q):
+    r0, want = two_function_reference(p, q)
+    assert threshold(p, q) == r0
+    params = plan(p, q, r0)
+    assert {name: getattr(params, name) for name in want} == want
+    with pytest.raises(UnsupportedParameters) as info:
+        plan(p, q, r0 - 1)
+    assert info.value.threshold == r0
+
+
+class TestRegimeTable:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 60), st.integers(1, 60))
+    def test_matches_two_function_reference(self, p, q):
+        check_against_reference(p, q)
+
+    @pytest.mark.parametrize("p", range(1, 31))
+    def test_every_tie_matches_reference(self, p):
+        # q = 2p: both regimes apply; big wins only at p = 1
+        check_against_reference(p, 2 * p)
 
 
 class TestBuildT:

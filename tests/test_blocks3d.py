@@ -105,8 +105,8 @@ class TestIsBlockReference:
     def test_catalog_orderings_unchanged(self, name):
         cov = base_covering(name)
         for blk in cov.blocks:
-            assert is_block(blk.points, cov.family[0]) == \
-                is_block_by_walks(blk.points, cov.family[0])
+            assert is_block(blk, cov.family[0]) == \
+                is_block_by_walks(blk, cov.family[0])
 
 
 class TestCatalog:
@@ -140,7 +140,7 @@ class TestCatalog:
     def test_tampered_covering_rejected(self):
         cov = base_covering("S1")
         blocks = list(cov.blocks)
-        bad = tuple((x, y, z + 1) for x, y, z in blocks[0].points)
+        bad = tuple((x, y, z + 1) for x, y, z in blocks[0])
         blocks[0] = Block(bad)
         verdict = verify_covering(Covering(cov.cells, cov.height, blocks, cov.family))
         assert not verdict
@@ -155,13 +155,13 @@ def verify_covering_with_sets(covering, family=None):
     with the walk search for block validity."""
     family = covering.family if family is None else family
     for index, block in enumerate(covering.blocks):
-        if len(set(block.points)) != 4:
+        if len(set(block)) != 4:
             return Verdict(False, "block", index)
-        if not any(is_block_by_walks(block.points, member) for member in family):
+        if not any(is_block_by_walks(block, member) for member in family):
             return Verdict(False, "block", index)
     seen = set()
     for block in covering.blocks:
-        for point in block.points:
+        for point in block:
             if point in seen:
                 return Verdict(False, "overlap", point)
             seen.add(point)
@@ -177,7 +177,7 @@ def tampered_coverings(draw):
     points nudged, cells added or removed, and the height changed."""
     name = draw(st.sampled_from(BASE_IDS + ("S3",)))
     cov = covering_S3() if name == "S3" else base_covering(name)
-    blocks = [blk.points for blk in cov.blocks]
+    blocks = [blk for blk in cov.blocks]
     blocks = [b for b in blocks if draw(st.integers(0, 9))]
     if blocks and draw(st.booleans()):
         blocks.insert(draw(st.integers(0, len(blocks))), draw(st.sampled_from(blocks)))
@@ -220,6 +220,38 @@ class TestVerifyCoveringReference:
             tracemalloc.stop()
         assert (v.ok, v.reason, v.witness) == (False, "coverage", (1, 1, 5))
         assert peak < 10_000
+
+
+def listed(cov):
+    """The same covering with every cell, block and point given as a list."""
+    return Covering([list(c) for c in sorted(cov.cells)], cov.height,
+                    [[list(pt) for pt in blk] for blk in cov.blocks], cov.family)
+
+
+class TestPlainBlocks:
+    @pytest.mark.parametrize("name", BASE_IDS)
+    def test_list_points_store_as_tuples(self, name):
+        cov = base_covering(name)
+        assert listed(cov) == cov
+        assert all(type(blk) is tuple and all(type(pt) is tuple for pt in blk)
+                   for blk in listed(cov).blocks)
+
+    @given(tampered_coverings())
+    def test_list_points_verify_as_tuples(self, cov):
+        got, want = verify_covering(listed(cov)), verify_covering(cov)
+        assert (got.ok, got.reason, got.witness) == (want.ok, want.reason, want.witness)
+
+    @pytest.mark.parametrize("index", [0, 2])
+    @pytest.mark.parametrize("reshape", [
+        lambda b: b[:3], lambda b: b + b[:1], lambda b: b + ((9, 9, 9),),
+        lambda b: b[:3] + b[:1], lambda b: (),
+    ], ids=["three", "five-repeated", "five-distinct", "four-repeated", "empty"])
+    def test_malformed_block_rejected_with_its_index(self, index, reshape):
+        cov = base_covering("S1")
+        blocks = list(cov.blocks)
+        blocks[index] = reshape(blocks[index])
+        v = verify_covering(Covering(cov.cells, cov.height, blocks, cov.family))
+        assert (v.ok, v.reason, v.witness) == (False, "block", index)
 
 
 class TestAlgebra:
@@ -331,7 +363,7 @@ class TestJson:
         assert loaded.cells == cov.cells
         assert loaded.height == cov.height
         assert loaded.family == cov.family
-        assert [b.points for b in loaded.blocks] == [b.points for b in cov.blocks]
+        assert [b for b in loaded.blocks] == [b for b in cov.blocks]
         assert verify_covering(loaded)
 
     def test_malformed_rejected(self):

@@ -257,7 +257,7 @@ def test_render_line_count(tmp_path, capsys):
 def render_bounding_box(covering) -> str:
     """Reference: every slice 1..height and every row and column of the
     cells' bounding box, as render printed them before it skipped empty ones."""
-    owner = {pt: i for i, blk in enumerate(covering.blocks) for pt in blk.points}
+    owner = {pt: i for i, blk in enumerate(covering.blocks) for pt in blk}
     xs = [x for x, _ in covering.cells]
     ys = [y for _, y in covering.cells]
     width = max(1, len(str(max(0, len(covering.blocks) - 1))))
@@ -367,6 +367,28 @@ def test_oracle_cover_deep_search_exits_2(tmp_path, capsys):
         capsys, "oracle", "cover", "--shape", str(shape), "--height", "4000",
         "--family", "axis:1", "--budget", "1500")
     assert (code, out, err) == (2, "", "budget exhausted\n")
+
+
+def test_oracle_gaps_budget_exhausted_exits_2(capsys):
+    # [1, 36] tiles, so "no tiling" would claim a proof the search lacks
+    code, out, err = run(capsys, "oracle", "gaps", "3,4,12", "--max-n", "120", "--budget", "1")
+    assert (code, out, err) == (2, "", "budget exhausted\n")
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_oracle_gaps_nonpositive_budget_exits_2(capsys, budget):
+    code, out, err = run(capsys, "oracle", "gaps", "1,1,1", "--max-n", "8", "--budget", budget)
+    assert (code, out, err) == (2, "", "error: budget must allow at least one node\n")
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_oracle_cover_nonpositive_budget_exits_2(tmp_path, capsys, budget):
+    shape = tmp_path / "shape.json"
+    shape.write_text(json.dumps({"cells": [[1, 1], [1, 2], [2, 2]]}))
+    code, out, err = run(
+        capsys, "oracle", "cover", "--shape", str(shape), "--height", "4",
+        "--family", "axis:1", "--budget", budget)
+    assert (code, out, err) == (2, "", "error: budget must allow at least one node\n")
 
 
 def test_usage_errors_exit_64(capsys):

@@ -130,7 +130,7 @@ class TestFlattenBlocks:
 
 def flatten_with_phi(stack, r, shift):
     """Reference flattening: every point of every block through phi."""
-    return [tuple(sorted(phi(stack, (i, x, y, z), r) + shift for x, y, z in blk.points))
+    return [tuple(sorted(phi(stack, (i, x, y, z), r) + shift for x, y, z in blk))
             for i, cov in enumerate(stack.coverings) for blk in cov.blocks]
 
 

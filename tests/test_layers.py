@@ -15,7 +15,7 @@ def e1_strides(covering):
     """Column strides actually used by the blocks: x-extent of steps with dy=dz=0."""
     strides = set()
     for blk in covering.blocks:
-        for a, b in zip(blk.points, blk.points[1:]):
+        for a, b in zip(blk, blk[1:]):
             dx, dy, dz = (b[i] - a[i] for i in range(3))
             if dy == 0 and dz == 0:
                 strides.add(abs(dx))

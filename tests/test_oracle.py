@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -101,6 +102,21 @@ class TestMinInterval:
         # any part with gaps {1,2,56} spans 60 integers, out of reach below n=60
         assert min_interval(GapSequence.of(1, 2, 56), 16) is None
 
+    def test_exhausted_budget_proves_nothing(self):
+        # [1, 36] tiles, but one node per length settles none of the lengths
+        # that need more, so no length is found and none is ruled out
+        g = GapSequence.of(3, 4, 12)
+        assert min_interval(g, 120, SearchBudget(1)) is BUDGET_EXHAUSTED
+        n, tiling = min_interval(g, 120)
+        assert n == 36
+        assert verify_tiling(tiling, g)
+
+    def test_none_only_when_every_length_is_settled(self):
+        # one node settles [1, 4] (no part fits); [1, 8] needs more
+        g = GapSequence.of(1, 1, 2)
+        assert min_interval(g, 4, SearchBudget(1)) is None
+        assert min_interval(g, 8, SearchBudget(1)) is BUDGET_EXHAUSTED
+
 
 class TestSolveCovering:
     def test_covers_catalog_shape(self):
@@ -147,6 +163,18 @@ class TestSolveCovering:
                              SearchBudget(1500))
         assert out is BUDGET_EXHAUSTED
         assert time.perf_counter() - start < 10
+
+    def test_memory_does_not_follow_the_slab(self):
+        # a slab of 3 * 10**9 points; memory follows the 1500 nodes, not the slab
+        tracemalloc.start()
+        try:
+            out = solve_covering([(1, 1), (1, 2), (2, 2)], 10**9, axis_family(1),
+                                 SearchBudget(1500))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out is BUDGET_EXHAUSTED
+        assert peak < 20_000_000
 
     def test_deterministic(self):
         base = base_covering("T4")
