@@ -40,11 +40,10 @@ from .blocks3d import (
     verify_covering,
 )
 from .layers import NiceLayer, layer_x1, layer_x2, layer_y1, layer_y2
-from .flatten import LayerStack, flatten_blocks, min_spacing, phi, phi_image
+from .flatten import flatten_blocks
 from .assemble import (
     PlanParameters,
     build_T,
-    build_stack,
     decompose_good,
     plan,
     threshold,
@@ -56,13 +55,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BASE_IDS", "BUDGET_EXHAUSTED", "Block", "Covering", "GapSequence",
-    "InternalInconsistency", "LayerStack", "NiceLayer", "Part", "PlanParameters",
+    "InternalInconsistency", "NiceLayer", "Part", "PlanParameters",
     "SearchBudget", "Tiling", "UnsupportedParameters", "Verdict", "axis_family",
-    "base_covering", "build_T", "build_stack", "compose", "covering_S3",
+    "base_covering", "build_T", "compose", "covering_S3",
     "covering_S4", "covering_S7", "covering_from_json", "covering_to_json",
     "decompose_good", "flatten_blocks", "gap_multiset", "is_block", "layer_x1",
-    "layer_x2", "layer_y1", "layer_y2", "min_interval", "min_spacing", "phi",
-    "phi_image", "plan", "replicate_height", "skew_family", "solve_covering",
+    "layer_x2", "layer_y1", "layer_y2", "min_interval",
+    "plan", "replicate_height", "skew_family", "solve_covering",
     "solve_interval", "stretch_e1", "threshold", "tile", "tiling_from_json",
     "tiling_to_json", "translate", "verify_covering", "verify_tiling",
 ]

@@ -16,8 +16,10 @@ applicable regime with the least one from a single table.
 In both regimes gcd(n1, n2) = 1, so by the two-coin bound every s with
 (n1 - 1)(n2 - 1) <= s <= (r - 1 + d)/d is a nonnegative combination
 s = count1 * n1 + count2 * n2; the upper end of that window is exactly the
-injectivity bound of the flattening map.  Stacking that combination of the
-two layers and flattening it tiles
+injectivity bound of the flattening map.  build_T stacks that combination
+as the list of layer pairs [layer1] * count1 + [layer2] * count2 (both
+layers of a regime share one height l, which plan() checks) and flattening
+it tiles
 
     T(s) = union_j (d * {1..s} + (j - 1) * r),    j = 1..l
 
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from .blocks3d import Covering
 from .core import GapSequence, InternalInconsistency, Part, Tiling, \
     UnsupportedParameters, verify_tiling
-from .flatten import LayerStack, flatten_blocks
+from .flatten import flatten_blocks
 from .layers import NiceLayer, layer_x1, layer_x2, layer_y1, layer_y2
 
 
@@ -124,31 +126,29 @@ def plan(p: int, q: int, r: int) -> PlanParameters:
     layer1, layer2 = build1(stride1, stride2), build2(stride1, stride2)
     if math.gcd(n1, n2) != 1 or n1 != layer1[0].size or n2 != layer2[0].size:
         raise InternalInconsistency(f"layer sizes {n1}, {n2} violate the plan's assumptions")
-    height = math.lcm(layer1[1].height, layer2[1].height)
+    height = layer1[1].height
+    if layer2[1].height != height:
+        raise InternalInconsistency(
+            f"layer heights {height}, {layer2[1].height} differ; a stack needs one height")
     return PlanParameters(
         p=p, q=q, r=r, branch=branch, d=d, n1=n1, n2=n2, height=height,
         s_min=(n1 - 1) * (n2 - 1), layer1=layer1, layer2=layer2,
         stride1=stride1, stride2=stride2)
 
 
-def build_stack(params: PlanParameters, s: int) -> LayerStack:
-    """The stack of slice size s: the canonical combination of the plan's
-    two layers."""
-    count1, count2 = decompose_good(s, params.n1, params.n2)
-    pairs = [params.layer1] * count1 + [params.layer2] * count2
-    return LayerStack.build(pairs, params.d)
-
-
 def build_T(params: PlanParameters, s: int, shift: int) -> list[Part]:
     """Parts tiling T(s) + shift = union_j (d * {1..s} + (j-1) * r + shift).
 
     s must lie in the good window [s_min, (r - 1 + d)/d]; the upper end is
-    the flattener's injectivity bound.
+    the flattener's injectivity bound.  The stack is count1 copies of
+    layer1 then count2 of layer2, from decompose_good(s, n1, n2).
     """
     if not (params.s_min <= s and params.d * s <= params.r - 1 + params.d):
         raise ValueError(
             f"s={s} outside the good window [{params.s_min}, (r-1+d)/d] for r={params.r}")
-    return flatten_blocks(build_stack(params, s), params.r, params.stride1, params.stride2, shift)
+    count1, count2 = decompose_good(s, params.n1, params.n2)
+    return flatten_blocks([params.layer1] * count1 + [params.layer2] * count2,
+                          params.d, params.r, params.stride1, params.stride2, shift)
 
 
 def tile(p: int, q: int, r: int) -> Tiling:

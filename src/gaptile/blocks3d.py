@@ -71,7 +71,8 @@ Block = tuple[Point3, Point3, Point3, Point3]
 class Covering:
     """A shape, a height, the blocks partitioning shape x {1..height}, and
     the family the blocks are drawn from.  Cells, blocks and their points are
-    stored as tuples, whatever sequences they were given as."""
+    stored as tuples, whatever sequences they were given as.  A height that
+    is not a positive integer (bool included) is a ValueError."""
 
     cells: frozenset[Cell]
     height: int
@@ -82,6 +83,8 @@ class Covering:
         object.__setattr__(self, "cells", frozenset(tuple(c) for c in self.cells))
         object.__setattr__(self, "blocks", tuple(tuple(map(tuple, b)) for b in self.blocks))
         object.__setattr__(self, "family", tuple(self.family))
+        if type(self.height) is not int:
+            raise ValueError("height must be an integer")
         if self.height < 1:
             raise ValueError("covering height must be positive")
         if not self.family:
@@ -419,8 +422,6 @@ def covering_from_json(obj) -> Covering:
         raw_blocks = obj["blocks"]
     except KeyError as exc:
         raise ValueError(f"covering JSON missing field: {exc}") from None
-    if type(height) is not int:
-        raise ValueError("height must be an integer")
     if not isinstance(raw_family, list) or not isinstance(raw_blocks, list):
         raise ValueError("family and blocks must be lists")
     family = tuple(_points(m, 3, 3, "a family member") for m in raw_family)

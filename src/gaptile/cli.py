@@ -29,10 +29,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_json(path: str):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as f:
-        return json.load(f)
+    """The JSON document at path, '-' for stdin.  A document nested too
+    deeply to decode raises ValueError, as any other malformed one does."""
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path) as f:
+            return json.load(f)
+    except RecursionError:
+        raise ValueError("JSON document nested too deeply") from None
 
 
 def _cmd_tile(args) -> int:

@@ -91,8 +91,9 @@ def gap_multiset(part: Part) -> tuple[int, ...]:
 class Tiling:
     """A claimed partition of the interval [lo, hi] into parts.
 
-    Each part is stored as a tuple; an empty part is a ValueError.  hi < lo
-    is the empty interval: Tiling(5, 4, ()) is its one partition, and any
+    lo and hi must be integers, bool excluded, and each part is stored as a
+    tuple; another endpoint or an empty part is a ValueError.  hi < lo is
+    the empty interval: Tiling(5, 4, ()) is its one partition, and any
     element there is stray.
     """
 
@@ -101,6 +102,8 @@ class Tiling:
     parts: tuple[Part, ...]
 
     def __post_init__(self):
+        if type(self.lo) is not int or type(self.hi) is not int:
+            raise ValueError("interval endpoints must be integers")
         parts = tuple(map(tuple, self.parts))
         if not all(parts):
             raise ValueError("a part needs at least one element")
@@ -234,8 +237,6 @@ def tiling_from_json(obj) -> tuple[GapSequence, Tiling]:
         raw_parts = obj["parts"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"tiling JSON missing or malformed field: {exc}") from None
-    if type(lo) is not int or type(hi) is not int:
-        raise ValueError("interval endpoints must be integers")
     if not isinstance(raw_parts, list):
         raise ValueError("parts must be a list")
     gaps = GapSequence(tuple(_int_list(raw_gaps, "gaps")))

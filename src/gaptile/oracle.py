@@ -124,17 +124,18 @@ def solve_interval(gaps: GapSequence, n: int, budget: SearchBudget | None = None
 
 
 def min_interval(gaps: GapSequence, n_max: int, budget: SearchBudget | None = None):
-    """Least n <= n_max whose search finds a tiling of [1, n], as (n, Tiling);
-    lengths whose search ran out of budget are skipped.  None is a proof that
-    no n <= n_max works; without one, BUDGET_EXHAUSTED when a search ran out."""
+    """Least n <= n_max whose search finds a tiling of [1, n], as (n, Tiling).
+    None is a proof that no n <= n_max works.  BUDGET_EXHAUSTED as soon as
+    the search of a length runs out of budget: a longer length found after
+    it would not be known to be the least."""
     size = gaps.set_size
-    exhausted = False
     for n in range(size, n_max + 1, size):
         result = solve_interval(gaps, n, budget)
         if isinstance(result, Tiling):
             return n, result
-        exhausted = exhausted or result is BUDGET_EXHAUSTED
-    return BUDGET_EXHAUSTED if exhausted else None
+        if result is BUDGET_EXHAUSTED:
+            return result
+    return None
 
 
 def solve_covering(cells, height: int, family: Family,

@@ -8,11 +8,10 @@ Run under pytest (use -s to see the lines) or directly:
 import time
 from itertools import combinations
 
-from gaptile.assemble import build_T, build_stack, plan, threshold, tile
+from gaptile.assemble import build_T, plan, threshold, tile
 from gaptile.blocks3d import BASE_IDS, base_covering, covering_S3, covering_S4, \
     covering_S7, verify_covering
 from gaptile.core import GapSequence, verify_tiling
-from gaptile.flatten import phi, phi_image
 from gaptile.layers import layer_x1, layer_x2, layer_y1, layer_y2
 from gaptile.oracle import min_interval, solve_covering
 
@@ -110,15 +109,16 @@ def test_criterion_6_threshold_bound():
 
 
 def test_criterion_7_flattening_is_bijective():
-    with _Criterion(7, "phi bijective on every stack tile() uses", 60.0):
+    with _Criterion(7, "T(s) parts partition their image for every s tile() uses", 60.0):
         for p, q, r in _tile_cases():
             params = plan(p, q, r)
-            s, r_rem = divmod(r, params.d)
+            d, height = params.d, params.height
+            s, r_rem = divmod(r, d)
             for size in {s + 1, s} if r_rem else {s}:
-                stack = build_stack(params, size)
-                values = [phi(stack, cell, r) for cell in stack.cells()]
+                values = [x for part in build_T(params, size, 0) for x in part]
                 assert len(values) == len(set(values))
-                assert set(values) == phi_image(stack, r)
+                assert set(values) == {d * k + (j - 1) * r for j in range(1, height + 1)
+                                       for k in range(1, size + 1)}
 
 
 def test_criterion_8_shifted_copies_partition():

@@ -3,8 +3,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaptile.assemble import build_T, build_stack, decompose_good, plan, threshold, tile
-from gaptile.core import GapSequence, UnsupportedParameters, verify_tiling
+from gaptile import assemble
+from gaptile.assemble import build_T, decompose_good, plan, threshold, tile
+from gaptile.blocks3d import replicate_height
+from gaptile.core import GapSequence, InternalInconsistency, UnsupportedParameters, \
+    verify_tiling
 from gaptile.layers import layer_x1, layer_x2, layer_y1, layer_y2
 
 
@@ -96,6 +99,15 @@ class TestPlan:
     def test_normalizes_argument_order(self):
         assert plan(4, 2, 216).branch == "small"
 
+    def test_layer_heights_must_agree(self, monkeypatch):
+        def tall_y2(p, q):
+            layer, cov = layer_y2(p, q)
+            return layer, replicate_height(cov, 8)
+
+        monkeypatch.setattr(assemble, "layer_y2", tall_y2)
+        with pytest.raises(InternalInconsistency, match="heights 4, 8"):
+            plan(1, 1, 48)
+
 
 def two_function_reference(p, q):
     """Reference: the threshold and the plan fields as threshold() and plan()
@@ -172,7 +184,10 @@ class TestBuildT:
 
     def test_stack_slice_size_is_s(self):
         params = plan(1, 1, 50)
-        assert build_stack(params, 49).size == 49
+        covered = [x for part in build_T(params, 49, 0) for x in part]
+        assert len(covered) == len(set(covered)) == 49 * params.height
+        assert set(covered) == {k + (j - 1) * 50
+                                for j in range(1, params.height + 1) for k in range(1, 50)}
 
 
 class TestTile:

@@ -387,6 +387,15 @@ class TestJson:
         with pytest.raises(ValueError):
             covering_from_json(obj)
 
+    @pytest.mark.parametrize("height", [2.5, 4.0, True, "4", None])
+    def test_height_must_be_an_integer(self, height):
+        # the same check, and message, for Python callers and JSON readers
+        s1 = base_covering("S1")
+        with pytest.raises(ValueError, match="height must be an integer"):
+            Covering(s1.cells, height, s1.blocks, s1.family)
+        with pytest.raises(ValueError, match="height must be an integer"):
+            covering_from_json(dict(covering_to_json(s1), height=height))
+
     def test_bad_candidate_loads_then_rejects(self):
         # malformed content (not schema) must yield a reject, not an exception
         obj = covering_to_json(base_covering("S1"))

@@ -103,6 +103,29 @@ def test_verify_rejects_bool_and_non_lists_as_malformed(tmp_path, capsys, comman
     assert out.startswith("reject: malformed input")
 
 
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("command,expected", [
+    ("verify", ("reject: malformed input (JSON document nested too deeply)\n", "")),
+    ("verify-covering", ("reject: malformed input (JSON document nested too deeply)\n", "")),
+    ("render", ("", "cannot render: JSON document nested too deeply\n")),
+], ids=["verify", "verify-covering", "render"])
+def test_deeply_nested_stdin_exits_2(capsys, monkeypatch, command, expected):
+    monkeypatch.setattr("sys.stdin", io.StringIO(DEEP_JSON))
+    code, out, err = run(capsys, command, "-")
+    assert (code, out, err) == (2, *expected)
+
+
+def test_oracle_cover_deeply_nested_shape_exits_2(tmp_path, capsys):
+    shape = tmp_path / "shape.json"
+    shape.write_text(DEEP_JSON)
+    code, out, err = run(
+        capsys, "oracle", "cover", "--shape", str(shape), "--height", "4",
+        "--family", "axis:1")
+    assert (code, out, err) == (2, "", "error: JSON document nested too deeply\n")
+
+
 def test_read_json_closes_its_file(tmp_path, capsys):
     path = tmp_path / "t.json"
     path.write_text(json.dumps(
@@ -372,6 +395,12 @@ def test_oracle_cover_deep_search_exits_2(tmp_path, capsys):
 def test_oracle_gaps_budget_exhausted_exits_2(capsys):
     # [1, 36] tiles, so "no tiling" would claim a proof the search lacks
     code, out, err = run(capsys, "oracle", "gaps", "3,4,12", "--max-n", "120", "--budget", "1")
+    assert (code, out, err) == (2, "", "budget exhausted\n")
+
+
+def test_oracle_gaps_exhausted_shorter_length_exits_2(capsys):
+    # within 5 nodes the search of [1, 12] runs out and [1, 16] tiles; [1, 12] does tile
+    code, out, err = run(capsys, "oracle", "gaps", "1,3,4", "--max-n", "60", "--budget", "5")
     assert (code, out, err) == (2, "", "budget exhausted\n")
 
 

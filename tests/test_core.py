@@ -80,6 +80,15 @@ class TestParts:
         v = verify_tiling(Tiling(5, 4, ((5, 6),)), triple(1))
         assert (v.ok, v.reason, v.witness) == (False, "coverage", 5)
 
+    @pytest.mark.parametrize("lo,hi", [
+        (1, 2.5), (1.0, 2), (True, 2), (1, False), ("1", 2), (None, 2)])
+    def test_endpoints_must_be_integers(self, lo, hi):
+        # the same check, and message, for Python callers and JSON readers
+        with pytest.raises(ValueError, match="interval endpoints must be integers"):
+            Tiling(lo, hi, ((1, 2),))
+        with pytest.raises(ValueError, match="interval endpoints must be integers"):
+            tiling_from_json({"gaps": [1], "interval": [lo, hi], "parts": [[1, 2]]})
+
 
 class TestVerifyTiling:
     def test_accepts_single_consecutive_part(self):

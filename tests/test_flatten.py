@@ -1,106 +1,160 @@
+from itertools import accumulate
+from typing import NamedTuple
+
 import pytest
 
-from gaptile.assemble import build_stack, plan
-from gaptile.blocks3d import Block, Covering
+from gaptile.assemble import decompose_good, plan
+from gaptile.blocks3d import Block, Covering, replicate_height
 from gaptile.core import InternalInconsistency, gap_multiset
-from gaptile.flatten import LayerStack, flatten_blocks, min_spacing, phi, phi_image
+from gaptile.flatten import flatten_blocks
 from gaptile.layers import NiceLayer, layer_x1, layer_x2, layer_y1, layer_y2
 
 
-def rank_by_sorting(stack):
+# ---------- reference: the per-point flattening map ----------
+
+class Stack(NamedTuple):
+    """A stack as flatten_blocks takes it: (NiceLayer, Covering) pairs in
+    stack order, and the multiplier d."""
+
+    pairs: list
+    d: int
+
+    @property
+    def layers(self):
+        return [layer for layer, _ in self.pairs]
+
+    @property
+    def height(self):
+        return self.pairs[0][1].height
+
+    @property
+    def size(self):
+        return sum(layer.size for layer in self.layers)
+
+
+def rank_by_sorting(layers):
     """Independent rank oracle: enumerate one slice in (layer, row, column)
     order and number the cells 1..s."""
-    cells = [(i, x, y) for i, layer in enumerate(stack.layers)
+    cells = [(i, x, y) for i, layer in enumerate(layers)
              for (x, y) in layer.cells()]
     cells.sort(key=lambda c: (c[0], c[2], c[1]))
     return {cell: k for k, cell in enumerate(cells, start=1)}
 
 
+def min_spacing(stack):
+    """Least r for which phi is injective on the stack: 1 - d + d*s."""
+    return 1 - stack.d + stack.d * stack.size
+
+
+def phi(layers, height, d, r):
+    """The flattening map d * rank + (z - 1) * r on every slab cell
+    (layer index, x, y, z), with the rank from rank_by_sorting."""
+    return {(i, x, y, z): d * k + (z - 1) * r
+            for (i, x, y), k in rank_by_sorting(layers).items()
+            for z in range(1, height + 1)}
+
+
+def phi_image(stack, r):
+    """The target set union_j (d * {1..s} + (j - 1) * r), computed directly."""
+    return {stack.d * k + (z - 1) * r
+            for z in range(1, stack.height + 1) for k in range(1, stack.size + 1)}
+
+
+def flatten_with_phi(stack, r, shift):
+    """Reference flattening: every point of every block through phi."""
+    values = phi(stack.layers, stack.height, stack.d, r)
+    return [tuple(sorted(values[(i, *point)] + shift for point in blk))
+            for i, (_, cov) in enumerate(stack.pairs) for blk in cov.blocks]
+
+
 class TestStack:
     def test_single_row_shape(self):
-        stack = LayerStack.from_shapes([NiceLayer(2, 1, 0)], height=1, d=1)
-        assert phi(stack, (0, 1, 1, 1), 2) == 1
-        assert phi(stack, (0, 2, 1, 1), 2) == 2
+        values = phi([NiceLayer(2, 1, 0)], height=1, d=1, r=2)
+        assert values[(0, 1, 1, 1)] == 1
+        assert values[(0, 2, 1, 1)] == 2
 
     def test_second_slice_offsets_by_r(self):
-        stack = LayerStack.from_shapes([NiceLayer(2, 1, 0)], height=2, d=1)
-        assert phi(stack, (0, 1, 1, 2), 3) == 1 + 3
+        values = phi([NiceLayer(2, 1, 0)], height=2, d=1, r=3)
+        assert values[(0, 1, 1, 2)] == 1 + 3
 
     def test_multiplier_spreads_ranks(self):
         # layers of sizes 3 and 2 sharing width 3; d=2 sends slice one to even numbers
-        stack = LayerStack.from_shapes(
-            [NiceLayer(3, 1, 0), NiceLayer(3, 0, 2)], height=1, d=2)
-        values = sorted(phi(stack, cell, 11) for cell in stack.cells())
-        assert values == [2, 4, 6, 8, 10]
+        values = phi([NiceLayer(3, 1, 0), NiceLayer(3, 0, 2)], height=1, d=2, r=11)
+        assert sorted(values.values()) == [2, 4, 6, 8, 10]
 
     def test_mismatched_widths_rejected(self):
-        with pytest.raises(ValueError):
-            LayerStack.from_shapes([NiceLayer(3, 1, 0), NiceLayer(2, 1, 0)], 1, 1)
+        with pytest.raises(ValueError, match="same width"):
+            flatten_blocks([layer_x1(1, 2), layer_x1(1, 3)], 1, 1000, 1, 2)
 
     def test_spacing_below_bound_rejected(self):
-        stack = LayerStack.from_shapes([NiceLayer(3, 1, 0)], height=2, d=2)
-        assert min_spacing(stack) == 5
-        assert phi(stack, (0, 1, 1, 1), 5) == 2
-        with pytest.raises(ValueError):
-            phi(stack, (0, 1, 1, 1), 4)
+        stack = Stack([layer_x1(1, 2)], 2)
+        assert min_spacing(stack) == 15
+        assert len(flatten_blocks(stack.pairs, stack.d, 15, 1, 2)) == 40
+        with pytest.raises(ValueError, match="injectivity bound 15"):
+            flatten_blocks(stack.pairs, stack.d, 14, 1, 2)
 
     def test_cell_outside_stack_rejected(self):
-        stack = LayerStack.from_shapes([NiceLayer(3, 1, 0)], height=2, d=1)
-        with pytest.raises(ValueError):
-            phi(stack, (1, 1, 1, 1), 99)
-        with pytest.raises(ValueError):
-            phi(stack, (0, 1, 1, 3), 99)
+        layer, cov = layer_x1(1, 2)
+        # the first block moved up by the height: same gaps, slices 21 and up
+        lifted = tuple((x, y, z + cov.height) for x, y, z in cov.blocks[0])
+        bad = Covering(cov.cells, cov.height, (lifted,) + cov.blocks[1:], cov.family)
+        with pytest.raises(ValueError, match="slice"):
+            flatten_blocks([(layer, bad)], 1, 100, 1, 2)
 
-    def test_build_lifts_heights(self):
-        stack = LayerStack.build([layer_y1(1, 1), layer_y2(1, 1)], d=1)
-        assert stack.height == 4
-        assert stack.sizes == (9, 7)
-        assert stack.size == 16
+    def test_mismatched_heights_rejected(self):
+        layer, cov = layer_y2(1, 1)
+        tall = (layer, replicate_height(cov, 8))
+        with pytest.raises(ValueError, match="height"):
+            flatten_blocks([layer_y1(1, 1), tall], 1, 100, 1, 1)
+        with pytest.raises(ValueError, match="height"):
+            flatten_blocks([tall, layer_y1(1, 1)], 1, 100, 1, 1)
 
 
 BUILT_STACKS = [
-    (LayerStack.build([layer_x1(1, 2)], 1), 56),
-    (LayerStack.build([layer_y1(1, 1), layer_y2(1, 1)], 1), 48),
-    (LayerStack.build([layer_y2(2, 3), layer_y1(2, 3), layer_y1(2, 3)], 2), 200),
+    (Stack([layer_x1(1, 2)], 1), 56),
+    (Stack([layer_y1(1, 1), layer_y2(1, 1)], 1), 48),
+    (Stack([layer_y2(2, 3), layer_y1(2, 3), layer_y1(2, 3)], 2), 200),
 ]
 
 
 class TestBijection:
     @pytest.mark.parametrize("stack,r", BUILT_STACKS)
     def test_rank_matches_sort_oracle(self, stack, r):
-        oracle = rank_by_sorting(stack)
+        # flatten_blocks ranks a cell by its layer's start plus NiceLayer.rank
+        starts = [0, *accumulate(layer.size for layer in stack.layers)]
+        oracle = rank_by_sorting(stack.layers)
         for (i, x, y), want in oracle.items():
-            assert stack.rank(i, x, y) == want
+            assert starts[i] + stack.layers[i].rank(x, y) == want
 
     @pytest.mark.parametrize("stack,r", BUILT_STACKS)
     def test_phi_bijective_onto_image(self, stack, r):
-        values = [phi(stack, cell, r) for cell in stack.cells()]
+        values = list(phi(stack.layers, stack.height, stack.d, r).values())
         assert len(values) == len(set(values)) == stack.size * stack.height
         assert set(values) == phi_image(stack, r)
 
     def test_phi_strictly_increases_along_cell_order(self):
         stack, r = BUILT_STACKS[1]
-        values = [phi(stack, cell, r) for cell in stack.cells()]
-        assert values == sorted(values)
+        values = phi(stack.layers, stack.height, stack.d, r)
+        # cell order: slice, layer, row, column
+        order = sorted(values, key=lambda c: (c[3], c[0], c[2], c[1]))
+        assert [values[cell] for cell in order] == sorted(values.values())
 
 
 class TestFlattenBlocks:
     def test_wide_stack_parts(self):
-        stack = LayerStack.build([layer_x1(1, 2)], 1)
-        parts = flatten_blocks(stack, 56, 1, 2)
+        parts = flatten_blocks([layer_x1(1, 2)], 1, 56, 1, 2)
         assert len(parts) == 40  # 8 cells x 20 slices / 4
         assert all(gap_multiset(part) == (1, 2, 56) for part in parts)
 
     def test_near_stack_parts(self):
-        stack = LayerStack.build([layer_y1(1, 1), layer_y2(1, 1)], 1)
-        parts = flatten_blocks(stack, 48, 1, 1)
+        parts = flatten_blocks([layer_y1(1, 1), layer_y2(1, 1)], 1, 48, 1, 1)
         assert len(parts) == 16
         assert all(gap_multiset(part) == (1, 1, 48) for part in parts)
 
     def test_parts_partition_the_image(self):
-        stack = LayerStack.build([layer_y1(2, 3), layer_y2(2, 3)], 1)
+        stack = Stack([layer_y1(2, 3), layer_y2(2, 3)], 1)
         r = min_spacing(stack) + 7
-        parts = flatten_blocks(stack, r, 2, 3)
+        parts = flatten_blocks(stack.pairs, stack.d, r, 2, 3)
         covered = [x for part in parts for x in part]
         assert len(covered) == len(set(covered))
         assert set(covered) == phi_image(stack, r)
@@ -108,42 +162,60 @@ class TestFlattenBlocks:
     def test_slice_step_is_exactly_r(self):
         # a block stepping e3 must land r apart; with d=1 and a choice of r
         # distinct from every in-slice gap, each part shows r exactly once
-        stack = LayerStack.build([layer_x1(1, 3)], 1)
+        stack = Stack([layer_x1(1, 3)], 1)
         r = min_spacing(stack) + 1
-        for part in flatten_blocks(stack, r, 1, 3):
+        for part in flatten_blocks(stack.pairs, stack.d, r, 1, 3):
             gaps = gap_multiset(part)
             assert gaps.count(r) == 1
 
     def test_stride_mismatch_rejected(self):
-        stack = LayerStack.build([layer_x1(1, 2)], 1)
-        with pytest.raises(ValueError):
-            flatten_blocks(stack, 56, 2, 2)
-        near = LayerStack.build([layer_y1(2, 3)], 1)
-        with pytest.raises(ValueError):
-            flatten_blocks(near, 1000, 2, 4)
+        with pytest.raises(ValueError, match="strides"):
+            flatten_blocks([layer_x1(1, 2)], 1, 56, 2, 2)
+        with pytest.raises(ValueError, match="strides"):
+            flatten_blocks([layer_y1(2, 3)], 1, 1000, 2, 4)
 
-    def test_bare_stack_cannot_flatten(self):
-        stack = LayerStack.from_shapes([NiceLayer(2, 1, 0)], 1, 1)
-        with pytest.raises(ValueError):
-            flatten_blocks(stack, 10, 1, 2)
+    def test_empty_stack_rejected(self):
+        with pytest.raises(ValueError, match="at least one layer"):
+            flatten_blocks([], 1, 10, 1, 2)
 
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_nonpositive_multiplier_rejected(self, d):
+        with pytest.raises(ValueError, match="multiplier"):
+            flatten_blocks([layer_x1(1, 2)], d, 56, 1, 2)
 
-def flatten_with_phi(stack, r, shift):
-    """Reference flattening: every point of every block through phi."""
-    return [tuple(sorted(phi(stack, (i, x, y, z), r) + shift for x, y, z in blk))
-            for i, cov in enumerate(stack.coverings) for blk in cov.blocks]
+    def test_covering_of_other_cells_rejected(self):
+        # same width 2, one cell fewer than the covering holds
+        _, cov = layer_x1(1, 2)
+        with pytest.raises(ValueError, match="cells"):
+            flatten_blocks([layer_x1(1, 2), (NiceLayer(2, 3, 1), cov)], 1, 100, 1, 2)
+
+    def test_each_distinct_pair_checked_once(self, monkeypatch):
+        calls = []
+        cells = NiceLayer.cells
+
+        def counted(layer):
+            calls.append(layer)
+            return cells(layer)
+
+        x1, x2 = layer_x1(1, 2), layer_x2(1, 2)
+        monkeypatch.setattr(NiceLayer, "cells", counted)
+        parts = flatten_blocks([x1, x2] * 250, 1, 250 * (8 + 9), 1, 2)
+        assert calls == [x1[0], x2[0]]
+        assert len(parts) == 250 * (40 + 45)
 
 
 def _stack_12_18():
     params = plan(12, 18, 2016)
-    return build_stack(params, 2016 // params.d), 2016, params.stride1, params.stride2
+    count1, count2 = decompose_good(2016 // params.d, params.n1, params.n2)
+    stack = Stack([params.layer1] * count1 + [params.layer2] * count2, params.d)
+    return stack, 2016, params.stride1, params.stride2
 
 
 REPEATED_STACKS = [
     # big branch, d = 1: both wide layers, one repeated
-    (LayerStack.build([layer_x1(1, 3), layer_x2(1, 3), layer_x1(1, 3)], 1), 400, 1, 3),
+    (Stack([layer_x1(1, 3), layer_x2(1, 3), layer_x1(1, 3)], 1), 400, 1, 3),
     # small branch, d = 1: both near layers, one repeated
-    (LayerStack.build([layer_y1(2, 3), layer_y2(2, 3), layer_y1(2, 3)], 1), 900, 2, 3),
+    (Stack([layer_y1(2, 3), layer_y2(2, 3), layer_y1(2, 3)], 1), 900, 2, 3),
     # small branch, d = 6: the stack tile(12, 18, 2016) flattens
     _stack_12_18(),
 ]
@@ -154,19 +226,18 @@ class TestFlattenOnceReference:
     @pytest.mark.parametrize("stack,r,p,q", REPEATED_STACKS)
     def test_matches_per_point_phi(self, stack, r, p, q, shift):
         assert len(set(stack.layers)) < len(stack.layers)
-        got = sorted(flatten_blocks(stack, r, p, q, shift))
+        got = sorted(flatten_blocks(stack.pairs, stack.d, r, p, q, shift))
         assert got == sorted(flatten_with_phi(stack, r, shift))
 
     def test_spacing_below_bound_rejected(self):
-        stack = LayerStack.build([layer_x1(1, 2)], 1)
-        with pytest.raises(ValueError):
-            flatten_blocks(stack, min_spacing(stack) - 1, 1, 2)
+        stack = Stack([layer_x1(1, 2)], 1)
+        with pytest.raises(ValueError, match="injectivity"):
+            flatten_blocks(stack.pairs, stack.d, min_spacing(stack) - 1, 1, 2)
 
     def test_wrong_gaps_raise_internal_inconsistency(self):
         layer, cov = layer_x1(1, 2)
         # a unit square in one slice has gaps {1, 1, 1}, not {1, 2, r}
         square = Block(((1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1)))
         bad = Covering(cov.cells, cov.height, (square,) + cov.blocks[1:], cov.family)
-        stack = LayerStack((layer, layer), (cov, bad), cov.height, 1)
         with pytest.raises(InternalInconsistency):
-            flatten_blocks(stack, 100, 1, 2)
+            flatten_blocks([(layer, cov), (layer, bad)], 1, 100, 1, 2)

@@ -117,6 +117,17 @@ class TestMinInterval:
         assert min_interval(g, 4, SearchBudget(1)) is None
         assert min_interval(g, 8, SearchBudget(1)) is BUDGET_EXHAUSTED
 
+    @pytest.mark.parametrize("gaps,budget,least", [
+        ((1, 3, 4), 5, 12), ((2, 5, 13), 50, 32), ((1, 4, 6), 20, 16)])
+    def test_exhausted_length_stops_the_search(self, gaps, budget, least):
+        # under these budgets the search of the least length runs out, and a
+        # longer length (16, 56 and 48) is found; it is not the least
+        g = GapSequence(gaps)
+        assert min_interval(g, 60, SearchBudget(budget)) is BUDGET_EXHAUSTED
+        n, tiling = min_interval(g, 60)
+        assert n == least
+        assert verify_tiling(tiling, g)
+
 
 class TestSolveCovering:
     def test_covers_catalog_shape(self):
