@@ -26,17 +26,13 @@ from .blocks3d import (
     Covering,
     axis_family,
     base_covering,
-    compose,
     covering_S3,
     covering_S4,
     covering_S7,
     covering_from_json,
     covering_to_json,
     is_block,
-    replicate_height,
     skew_family,
-    stretch_e1,
-    translate,
     verify_covering,
 )
 from .layers import NiceLayer, layer_x1, layer_x2, layer_y1, layer_y2
@@ -57,11 +53,10 @@ __all__ = [
     "BASE_IDS", "BUDGET_EXHAUSTED", "Block", "Covering", "GapSequence",
     "InternalInconsistency", "NiceLayer", "Part", "PlanParameters",
     "SearchBudget", "Tiling", "UnsupportedParameters", "Verdict", "axis_family",
-    "base_covering", "build_T", "compose", "covering_S3",
-    "covering_S4", "covering_S7", "covering_from_json", "covering_to_json",
-    "decompose_good", "flatten_blocks", "gap_multiset", "is_block", "layer_x1",
-    "layer_x2", "layer_y1", "layer_y2", "min_interval",
-    "plan", "replicate_height", "skew_family", "solve_covering",
-    "solve_interval", "stretch_e1", "threshold", "tile", "tiling_from_json",
-    "tiling_to_json", "translate", "verify_covering", "verify_tiling",
+    "base_covering", "build_T", "covering_S3", "covering_S4", "covering_S7",
+    "covering_from_json", "covering_to_json", "decompose_good", "flatten_blocks",
+    "gap_multiset", "is_block", "layer_x1", "layer_x2", "layer_y1", "layer_y2",
+    "min_interval", "plan", "skew_family", "solve_covering", "solve_interval",
+    "threshold", "tile", "tiling_from_json", "tiling_to_json", "verify_covering",
+    "verify_tiling",
 ]

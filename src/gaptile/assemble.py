@@ -84,10 +84,12 @@ def _bound(regime: tuple) -> int:
 
 
 def threshold(p: int, q: int) -> int:
-    """Least r0 such that tile(p, q, r) succeeds for every r >= r0."""
+    """Least r0 such that tile(p, q, r) succeeds for every r >= r0.
+
+    p and q must be positive integers, bool excluded, as GapSequence
+    requires; anything else is a ValueError."""
+    GapSequence((p, q))
     p, q = sorted((p, q))
-    if p < 1:
-        raise ValueError(f"gaps must be positive integers, got ({p}, {q})")
     return _bound(_regime(p, q))
 
 
@@ -111,11 +113,11 @@ def plan(p: int, q: int, r: int) -> PlanParameters:
     """Choose the regime for gaps (p, q, r) and prebuild its two layers.
 
     Raises UnsupportedParameters when r is below threshold(p, q), the
-    chosen regime's bound.
+    chosen regime's bound, and ValueError, before any layer is built, when
+    a gap is not a positive integer (bool excluded), as GapSequence does.
     """
+    GapSequence((p, q, r))
     p, q = sorted((p, q))
-    if p < 1 or r < 1:
-        raise ValueError(f"gaps must be positive integers, got ({p}, {q}, {r})")
     regime = _regime(p, q)
     r0 = _bound(regime)
     if r < r0:
@@ -158,7 +160,6 @@ def tile(p: int, q: int, r: int) -> Tiling:
     r >= threshold(p, q), else UnsupportedParameters.  The result has passed
     verify_tiling; a failure there is an InternalInconsistency.
     """
-    p, q = sorted((p, q))
     params = plan(p, q, r)
     s, r_rem = divmod(r, params.d)
     parts: list[Part] = []

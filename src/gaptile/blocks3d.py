@@ -12,22 +12,21 @@ A block is a plain 4-tuple of point tuples (Block), judged by verify_covering.
 
 A covering of a planar shape S at height h is a partition of the slab
 S x {1..h} into family blocks.  This module ships a small catalog of base
-coverings over tiny shapes, an algebra to assemble larger ones (translate,
-stretch_e1, replicate_height, compose), and the rectangle and notched
-rectangle coverings the layer builders consume.
+coverings over tiny shapes and the rectangle and notched rectangle
+coverings the layer builders consume.
 
-The algebra's moves keep a valid covering valid, so each builder assembles
-from their private, uncertified forms and runs verify_covering once on the
-covering it returns; the public algebra functions certify their results
-too.  An invalid covering cannot escape the package, and verify_covering
-never trusts stored block orderings but re-derives them from scratch.
+A builder places stretched, translated and stacked copies of catalog
+blocks as a plain block list, wraps it in the one Covering of the shape it
+means to cover, and runs verify_covering on that covering once.  An invalid
+covering cannot escape the package, and verify_covering never trusts stored
+block orderings but re-derives them from scratch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import accumulate, permutations
+from itertools import accumulate, chain, permutations
 
 from .core import InternalInconsistency, Verdict
 
@@ -72,7 +71,8 @@ class Covering:
     """A shape, a height, the blocks partitioning shape x {1..height}, and
     the family the blocks are drawn from.  Cells, blocks and their points are
     stored as tuples, whatever sequences they were given as.  A height that
-    is not a positive integer (bool included) is a ValueError."""
+    is not a positive integer (bool included), and cells, blocks or a family
+    that cannot be read as such sequences, are a ValueError."""
 
     cells: frozenset[Cell]
     height: int
@@ -80,9 +80,12 @@ class Covering:
     family: Family
 
     def __post_init__(self):
-        object.__setattr__(self, "cells", frozenset(tuple(c) for c in self.cells))
-        object.__setattr__(self, "blocks", tuple(tuple(map(tuple, b)) for b in self.blocks))
-        object.__setattr__(self, "family", tuple(self.family))
+        try:
+            object.__setattr__(self, "cells", frozenset(tuple(c) for c in self.cells))
+            object.__setattr__(self, "blocks", tuple(tuple(map(tuple, b)) for b in self.blocks))
+            object.__setattr__(self, "family", tuple(self.family))
+        except TypeError as exc:
+            raise ValueError(f"cells, blocks and family must be sequences: {exc}") from None
         if type(self.height) is not int:
             raise ValueError("height must be an integer")
         if self.height < 1:
@@ -97,14 +100,19 @@ def is_block(points, member: Member) -> tuple[Point3, ...] | None:
 
     Returns the ordering, or None when no ordering works; among several it
     is the one with the least start point, then the first permutation in
-    sorted order.  Points must be four distinct triples; anything else
-    raises ValueError.
+    sorted order.  Points must be four distinct triples of numbers; anything
+    else raises ValueError.  (verify_covering admits only int coordinates,
+    bool excluded, before it asks.)
     """
-    pts = {tuple(p) for p in points}
+    try:
+        pts = {tuple(p) for p in points}
+        bx, by, bz = base = min(pts)
+        shape = frozenset((x - bx, y - by, z - bz) for x, y, z in pts)
+    except (TypeError, ValueError):
+        raise ValueError(f"is_block needs triples of numbers, got {points!r}") from None
     if len(pts) != 4:
         raise ValueError(f"is_block needs exactly 4 distinct points, got {len(pts)}")
-    base = min(pts)
-    walk = _walks(tuple(map(tuple, member))).get(frozenset(_sub(p, base) for p in pts))
+    walk = _walks(tuple(map(tuple, member))).get(shape)
     return None if walk is None else tuple(_add(base, v) for v in walk)
 
 
@@ -129,8 +137,11 @@ def verify_covering(covering: Covering, family: Family | None = None) -> Verdict
     cells x {1..height} exactly.
 
     Checks run in the fixed order block validity, overlap, coverage; the
-    verdict's witness is the offending block index or point.  Candidates
-    assembled from untrusted JSON yield a reject, never an exception.
+    verdict's witness is the offending block index or point.  A block is
+    invalid unless it is four distinct points, each three ints (bool
+    excluded, as covering_from_json reads them), that realize a family
+    member.  Candidates assembled from untrusted JSON, or from Python
+    sequences of any content, yield a reject, never an exception.
 
     Memory follows the blocks, not the slab: the coverage witness is the
     least stray point or the least missing one, found by scanning the slab
@@ -138,12 +149,20 @@ def verify_covering(covering: Covering, family: Family | None = None) -> Verdict
     """
     if family is None:
         family = covering.family
-    for index, block in enumerate(covering.blocks):
+    blocks = covering.blocks
+    bad = len(blocks)
+    if not _int_triples(blocks):
+        # one bulk pass clears a well-typed covering; only a failing one is
+        # walked block by block, to name the first bad index
+        bad = next(i for i, block in enumerate(blocks) if not _int_triples((block,)))
+    for index, block in enumerate(blocks[:bad]):
         if (len(block) != 4 or len(set(block)) != 4
                 or not any(is_block(block, m) for m in family)):
             return Verdict(False, "block", index)
+    if bad < len(blocks):
+        return Verdict(False, "block", bad)
     seen: set[Point3] = set()
-    for block in covering.blocks:
+    for block in blocks:
         for point in block:
             if point in seen:
                 return Verdict(False, "overlap", point)
@@ -156,6 +175,12 @@ def verify_covering(covering: Covering, family: Family | None = None) -> Verdict
     if mismatches:
         return Verdict(False, "coverage", min(mismatches))
     return Verdict(True)
+
+
+def _int_triples(blocks) -> bool:
+    """Whether every point of every block is three ints, bool excluded."""
+    points = list(chain.from_iterable(blocks))
+    return set(map(len, points)) <= {3} and set(map(type, chain.from_iterable(points))) <= {int}
 
 
 def _certified(covering: Covering) -> Covering:
@@ -264,84 +289,31 @@ def base_covering(name: str) -> Covering:
     return _certified(Covering(cells, height, blocks, (member,)))
 
 
-# ---------- covering algebra: private forms build, public forms certify ----------
+# ---------- rectangle coverings from placed blocks ----------
+#
+# A builder places copies of catalog blocks as plain block lists and wraps
+# the finished list in one Covering, which _certified checks once.
 
-def _affine(covering: Covering, w: int, dx: int, dy: int) -> Covering:
-    """The map x -> w*x + dx, y -> y + dy, heights untouched; an
-    (m*e1, ...) family becomes (w*m*e1, ...)."""
-    cells = frozenset((w * x + dx, y + dy) for x, y in covering.cells)
-    family = tuple(tuple((w * v[0], v[1], v[2]) for v in member) for member in covering.family)
-    blocks = tuple(tuple((w * x + dx, y + dy, z) for x, y, z in blk) for blk in covering.blocks)
-    return Covering(cells, covering.height, blocks, family)
-
-
-def _replicated(covering: Covering, height: int) -> Covering:
-    if height < 1 or height % covering.height:
-        raise ValueError(
-            f"target height {height} is not a multiple of covering height {covering.height}")
-    blocks = tuple(tuple((x, y, z + dz) for x, y, z in blk)
-                   for dz in range(0, height, covering.height) for blk in covering.blocks)
-    return Covering(covering.cells, height, blocks, covering.family)
+def _moved(blocks, w: int, dx: int, dy: int) -> list[Block]:
+    """The blocks under x -> w*x + dx, y -> y + dy, heights untouched, in
+    order; a stretch by w maps an (m*e1, ...) member to (w*m*e1, ...)."""
+    return [tuple((w * x + dx, y + dy, z) for x, y, z in blk) for blk in blocks]
 
 
-def _composed(coverings) -> Covering:
-    coverings = list(coverings)
-    if not coverings:
-        raise ValueError("compose needs at least one covering")
-    height = coverings[0].height
-    for i, cov in enumerate(coverings):
-        if cov.height != height:
-            raise ValueError(f"components 0 and {i} differ in height: {height} vs {cov.height}")
-    owner: dict[Cell, int] = {}
-    for i, cov in enumerate(coverings):
-        for cell in sorted(cov.cells):
-            if cell in owner:
-                raise ValueError(f"components {owner[cell]} and {i} overlap at cell {cell}")
-            owner[cell] = i
-    family = dict.fromkeys(member for cov in coverings for member in cov.family)
-    blocks = tuple(blk for cov in coverings for blk in cov.blocks)
-    return Covering(frozenset(owner), height, blocks, tuple(family))
+def _stacked(blocks, h: int, height: int) -> list[Block]:
+    """height / h copies of blocks that fill heights 1..h, lowest first."""
+    return [tuple((x, y, z + dz) for x, y, z in blk)
+            for dz in range(0, height, h) for blk in blocks]
 
 
-def translate(covering: Covering, dx: int, dy: int) -> Covering:
-    """Rigid shift in the plane; height and family are unchanged."""
-    return _certified(_affine(covering, 1, dx, dy))
-
-
-def stretch_e1(covering: Covering, w: int) -> Covering:
-    """Scale every x coordinate by w, mapping an (m*e1, ...) family to
-    (w*m*e1, ...); rows and heights are untouched."""
-    if w < 1:
-        raise ValueError("stretch factor must be positive")
-    return _certified(_affine(covering, w, 0, 0))
-
-
-def replicate_height(covering: Covering, height: int) -> Covering:
-    """Stack height / h(covering) vertical copies; height must be a multiple.
-    A covering already at that height comes back as it is, uncertified."""
-    if height == covering.height:
-        return covering
-    return _certified(_replicated(covering, height))
-
-
-def compose(coverings) -> Covering:
-    """Disjoint union of coverings of equal height; families are merged.
-
-    Overlapping cells or mismatched heights raise ValueError naming the
-    offending pair of components.
-    """
-    return _certified(_composed(coverings))
-
-
-# ---------- composed rectangle coverings ----------
-
-def _s3() -> Covering:
-    return _composed([base_covering("S1"), _affine(base_covering("S2"), 1, 1, 0)])
+def _s3() -> list[Block]:
+    # S1 next to S2 shifted one column right: [3] x [2] at height 4
+    return [*base_covering("S1").blocks, *_moved(base_covering("S2").blocks, 1, 1, 0)]
 
 
 def covering_S3() -> Covering:
     """The [3] x [2] rectangle at height 4: S1 next to a shifted S2."""
-    return _certified(_s3())
+    return _certified(Covering(_box(3, 2), 4, _s3(), (_AXIS,)))
 
 
 def covering_S4(k: int) -> Covering:
@@ -349,23 +321,18 @@ def covering_S4(k: int) -> Covering:
 
     Even k is filled with [2] x [4] columns (native height 5); odd k uses two
     stacked copies of the [3] x [2] rectangle for the first three columns and
-    [2] x [4] columns after that.  Everything is replicated to height 20 so
-    the pieces compose.
+    [2] x [4] columns after that.  Every piece is stacked to height 20.
     """
-    return _certified(_rectangle(k))
+    return _certified(Covering(_box(k, 4), 20, _rectangle(k), (_AXIS,)))
 
 
-def _rectangle(k: int) -> Covering:
+def _rectangle(k: int) -> list[Block]:
     if k < 2:
         raise ValueError(f"rectangle width must be at least 2, got {k}")
-    pieces = []
-    start = 0
-    if k % 2:
-        three = _s3()
-        pieces.append(_replicated(_composed([three, _affine(three, 1, 0, 2)]), 20))
-        start = 3
-    pieces += _two_wide_columns(start, k)
-    return _composed(pieces)
+    if k % 2 == 0:
+        return _two_wide_columns(0, k)
+    three = _s3()
+    return _stacked(three + _moved(three, 1, 0, 2), 4, 20) + _two_wide_columns(3, k)
 
 
 def covering_S7(k: int) -> Covering:
@@ -375,26 +342,25 @@ def covering_S7(k: int) -> Covering:
     plus S1 assembly for odd k); the remaining width is filled with
     [2] x [4] columns.
     """
-    return _certified(_notched_rectangle(k))
+    return _certified(Covering(_box(k, 4) | {(k + 1, 4)}, 20, _notched_rectangle(k), (_AXIS,)))
 
 
-def _notched_rectangle(k: int) -> Covering:
+def _notched_rectangle(k: int) -> list[Block]:
     if k < 2:
         raise ValueError(f"notched rectangle width must be at least 2, got {k}")
     if k % 2 == 0:
-        tail, tail_width = base_covering("S6"), 2
+        tail, tail_width = base_covering("S6").blocks, 2
     else:
-        tail = _composed([base_covering("S5"), _affine(base_covering("S1"), 1, 2, 2)])
+        tail = [*base_covering("S5").blocks, *_moved(base_covering("S1").blocks, 1, 2, 2)]
         tail_width = 3
-    pieces = _two_wide_columns(0, k - tail_width)
-    pieces.append(_replicated(_affine(tail, 1, k - tail_width, 0), 20))
-    return _composed(pieces)
+    return (_two_wide_columns(0, k - tail_width)
+            + _stacked(_moved(tail, 1, k - tail_width, 0), 4, 20))
 
 
-def _two_wide_columns(start: int, stop: int) -> list[Covering]:
+def _two_wide_columns(start: int, stop: int) -> list[Block]:
     # [2] x [4] columns at height 20 filling x = start+1 .. stop
-    column = _replicated(base_covering("S4_2x4"), 20)
-    return [_affine(column, 1, x, 0) for x in range(start, stop - 1, 2)]
+    column = _stacked(base_covering("S4_2x4").blocks, 5, 20)
+    return [blk for x in range(start, stop - 1, 2) for blk in _moved(column, 1, x, 0)]
 
 
 # ---------- JSON wire format ----------

@@ -92,9 +92,9 @@ class Tiling:
     """A claimed partition of the interval [lo, hi] into parts.
 
     lo and hi must be integers, bool excluded, and each part is stored as a
-    tuple; another endpoint or an empty part is a ValueError.  hi < lo is
-    the empty interval: Tiling(5, 4, ()) is its one partition, and any
-    element there is stray.
+    tuple; another endpoint, parts that are not a sequence of sequences, or
+    an empty part is a ValueError.  hi < lo is the empty interval:
+    Tiling(5, 4, ()) is its one partition, and any element there is stray.
     """
 
     lo: int
@@ -104,7 +104,10 @@ class Tiling:
     def __post_init__(self):
         if type(self.lo) is not int or type(self.hi) is not int:
             raise ValueError("interval endpoints must be integers")
-        parts = tuple(map(tuple, self.parts))
+        try:
+            parts = tuple(map(tuple, self.parts))
+        except TypeError as exc:
+            raise ValueError(f"parts must be a sequence of sequences: {exc}") from None
         if not all(parts):
             raise ValueError("a part needs at least one element")
         object.__setattr__(self, "parts", parts)

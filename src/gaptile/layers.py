@@ -21,18 +21,17 @@ to p - b width-a ones (a = q div p), so the column strides are all p and the
 total width is exactly q; X2 swaps the notched rectangle into the middle
 slot.  The Y layers interleave five narrow skew pieces (stretched to stride
 p) with a top row of stride-q hooks.  Each builder returns the NiceLayer
-descriptor together with its covering.  The builders assemble the covering
-with blocks3d's uncertified algebra, then check that its cells are exactly
-the descriptor's cells and certify it with verify_covering, once per layer.
+descriptor together with its covering.  The builders place the pieces'
+blocks as one plain list, build one Covering of the descriptor's cells
+from it, and certify that with verify_covering, once per layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocks3d import Covering, _affine, _certified, _composed, _notched_rectangle, \
-    _rectangle, _replicated, base_covering
-from .core import InternalInconsistency
+from .blocks3d import Block, Covering, Family, _certified, _moved, _notched_rectangle, \
+    _rectangle, _stacked, axis_family, base_covering, skew_family
 
 
 @dataclass(frozen=True)
@@ -66,16 +65,16 @@ class NiceLayer:
         raise ValueError(f"cell ({x}, {y}) is outside the layer")
 
 
-def _copies(piece: Covering, w: int, columns, dy: int = 0) -> list[Covering]:
+def _copies(piece: list[Block], w: int, columns, dy: int = 0) -> list[Block]:
     # piece stretched to column stride w, its column x = 1 moved to 1 + dx
-    return [_affine(piece, w, 1 - w + dx, dy) for dx in columns]
+    return [blk for dx in columns for blk in _moved(piece, w, 1 - w + dx, dy)]
 
 
-def _as_layer(layer: NiceLayer, covering: Covering) -> tuple[NiceLayer, Covering]:
-    if covering.cells != layer.cells():
-        raise InternalInconsistency(
-            f"assembled covering does not match layer shape {layer}")
-    return layer, _certified(covering)
+def _as_layer(layer: NiceLayer, height: int, blocks: list[Block],
+              family: Family) -> tuple[NiceLayer, Covering]:
+    # the one covering of the layer's cells; verify_covering rejects a
+    # missing, stray, overlapping or wrong-stride block
+    return layer, _certified(Covering(layer.cells(), height, blocks, family))
 
 
 def _require_wide(p: int, q: int):
@@ -92,9 +91,9 @@ def layer_x1(p: int, q: int) -> tuple[NiceLayer, Covering]:
     """[q] x [4] covered at height 20 by axis blocks of stride p (q >= 2p)."""
     _require_wide(p, q)
     a, b = divmod(q, p)
-    pieces = _copies(_rectangle(a + 1), p, range(b)) if b else []
-    pieces += _copies(_rectangle(a), p, range(b, p))
-    return _as_layer(NiceLayer(q, 4, 0), _composed(pieces))
+    blocks = _copies(_rectangle(a + 1), p, range(b)) if b else []
+    blocks += _copies(_rectangle(a), p, range(b, p))
+    return _as_layer(NiceLayer(q, 4, 0), 20, blocks, axis_family(p))
 
 
 def layer_x2(p: int, q: int) -> tuple[NiceLayer, Covering]:
@@ -105,16 +104,17 @@ def layer_x2(p: int, q: int) -> tuple[NiceLayer, Covering]:
     """
     _require_wide(p, q)
     a, b = divmod(q, p)
-    pieces = _copies(_rectangle(a + 1), p, range(b)) if b else []
-    pieces += _copies(_notched_rectangle(a), p, [b])
+    blocks = _copies(_rectangle(a + 1), p, range(b)) if b else []
+    blocks += _copies(_notched_rectangle(a), p, [b])
     if b + 1 < p:
-        pieces += _copies(_rectangle(a), p, range(b + 1, p))
-    return _as_layer(NiceLayer(q, 3, q + 1), _composed(pieces))
+        blocks += _copies(_rectangle(a), p, range(b + 1, p))
+    return _as_layer(NiceLayer(q, 3, q + 1), 20, blocks, axis_family(p))
 
 
-def _skew_piece(name: str) -> Covering:
-    # narrow catalog piece lifted to height 4
-    return _replicated(base_covering(name), 4)
+def _skew_piece(name: str) -> list[Block]:
+    # narrow catalog piece stacked to height 4
+    piece = base_covering(name)
+    return _stacked(piece.blocks, piece.height, 4)
 
 
 def layer_y1(p: int, q: int) -> tuple[NiceLayer, Covering]:
@@ -127,20 +127,20 @@ def layer_y1(p: int, q: int) -> tuple[NiceLayer, Covering]:
     """
     _require_near(p, q)
     t = q - p
-    pieces = _copies(_skew_piece("T1"), p, range(t, p))
-    pieces += _copies(_skew_piece("T2"), p, range(t, p), 1)
-    pieces += _copies(_skew_piece("T3"), p, range(p, p + t), 1)
-    pieces += _copies(_skew_piece("T5"), p, range(t))
-    pieces += _copies(_skew_piece("T1"), q, range(p), 3)
-    return _as_layer(NiceLayer(p + q, 4, p), _composed(pieces))
+    blocks = _copies(_skew_piece("T1"), p, range(t, p))
+    blocks += _copies(_skew_piece("T2"), p, range(t, p), 1)
+    blocks += _copies(_skew_piece("T3"), p, range(p, p + t), 1)
+    blocks += _copies(_skew_piece("T5"), p, range(t))
+    blocks += _copies(_skew_piece("T1"), q, range(p), 3)
+    return _as_layer(NiceLayer(p + q, 4, p), 4, blocks, skew_family(p, q))
 
 
 def layer_y2(p: int, q: int) -> tuple[NiceLayer, Covering]:
     """[p+q] x [3] plus a top row [p] x {4}, the short companion of layer_y1."""
     _require_near(p, q)
     t = q - p
-    pieces = _copies(_skew_piece("T1"), p, range(t))
-    pieces += _copies(_skew_piece("T3"), p, range(p, p + t))
-    pieces += _copies(_skew_piece("T4"), p, range(t, p))
-    pieces += _copies(_skew_piece("T1"), q, range(p), 2)
-    return _as_layer(NiceLayer(p + q, 3, p), _composed(pieces))
+    blocks = _copies(_skew_piece("T1"), p, range(t))
+    blocks += _copies(_skew_piece("T3"), p, range(p, p + t))
+    blocks += _copies(_skew_piece("T4"), p, range(t, p))
+    blocks += _copies(_skew_piece("T1"), q, range(p), 2)
+    return _as_layer(NiceLayer(p + q, 3, p), 4, blocks, skew_family(p, q))

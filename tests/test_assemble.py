@@ -5,10 +5,16 @@ from hypothesis import given, settings, strategies as st
 
 from gaptile import assemble
 from gaptile.assemble import build_T, decompose_good, plan, threshold, tile
-from gaptile.blocks3d import replicate_height
+from gaptile.blocks3d import Covering
 from gaptile.core import GapSequence, InternalInconsistency, UnsupportedParameters, \
     verify_tiling
 from gaptile.layers import layer_x1, layer_x2, layer_y1, layer_y2
+
+
+def stacked_twice(cov):
+    """The covering with a copy of itself on top: same cells, twice the height."""
+    lifted = tuple(tuple((x, y, z + cov.height) for x, y, z in blk) for blk in cov.blocks)
+    return Covering(cov.cells, 2 * cov.height, cov.blocks + lifted, cov.family)
 
 
 def brute_decompositions(s, n1, n2):
@@ -40,6 +46,36 @@ class TestThreshold:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             threshold(0, 3)
+
+
+BAD_GAPS = [1.5, 56.5, True, "2", 0]
+
+
+class TestGapsMustBePositiveIntegers:
+    """threshold, plan and tile check their gaps first, by GapSequence's rule
+    and with its message."""
+
+    @pytest.mark.parametrize("bad", BAD_GAPS, ids=repr)
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_threshold(self, slot, bad):
+        gaps = [1, 2]
+        gaps[slot] = bad
+        with pytest.raises(ValueError, match="gaps must be positive integers"):
+            threshold(*gaps)
+
+    @pytest.mark.parametrize("bad", BAD_GAPS, ids=repr)
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    @pytest.mark.parametrize("build", [plan, tile])
+    def test_plan_and_tile_build_no_layer(self, monkeypatch, build, slot, bad):
+        def no_layer(p, q):
+            raise AssertionError("a layer was built for bad gaps")
+
+        for name in ("layer_x1", "layer_x2", "layer_y1", "layer_y2"):
+            monkeypatch.setattr(assemble, name, no_layer)
+        gaps = [1, 2, 56]
+        gaps[slot] = bad
+        with pytest.raises(ValueError, match="gaps must be positive integers"):
+            build(*gaps)
 
 
 class TestDecomposeGood:
@@ -102,7 +138,7 @@ class TestPlan:
     def test_layer_heights_must_agree(self, monkeypatch):
         def tall_y2(p, q):
             layer, cov = layer_y2(p, q)
-            return layer, replicate_height(cov, 8)
+            return layer, stacked_twice(cov)
 
         monkeypatch.setattr(assemble, "layer_y2", tall_y2)
         with pytest.raises(InternalInconsistency, match="heights 4, 8"):

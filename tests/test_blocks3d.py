@@ -5,12 +5,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from gaptile.blocks3d import (
-    BASE_IDS, Block, Covering, axis_family, base_covering, compose,
-    covering_S3, covering_S4, covering_S7, covering_from_json,
-    covering_to_json, is_block, replicate_height, skew_family, stretch_e1,
-    translate, verify_covering,
+    BASE_IDS, Block, Covering, axis_family, base_covering, covering_S3,
+    covering_S4, covering_S7, covering_from_json, covering_to_json, is_block,
+    skew_family, verify_covering,
 )
-from gaptile.core import InternalInconsistency, Verdict
+from gaptile.core import Verdict
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 AXIS = (E1, E2, E3)
@@ -53,6 +52,17 @@ class TestIsBlock:
             is_block({(0, 0, 0), (1, 0, 0), (1, 1, 0)}, AXIS)
         with pytest.raises(ValueError):
             is_block([(0, 0, 0), (0, 0, 0), (1, 0, 0), (1, 1, 0)], AXIS)
+
+    @pytest.mark.parametrize("points", [
+        [(1, 1), (1, 2), (1, 3), (1, 4)],
+        [(1, 1, 1, 0), (1, 2, 1, 0), (2, 2, 1, 0), (2, 2, 2, 0)],
+        [("1", 1, 1), (1, 2, 1), (2, 2, 1), (2, 2, 2)],
+        [(None, 1, 1), (1, 2, 1), (2, 2, 1), (2, 2, 2)],
+        [5, (1, 2, 1), (2, 2, 1), (2, 2, 2)],
+    ], ids=["2d", "4d", "str", "none", "not-a-point"])
+    def test_points_must_be_triples(self, points):
+        with pytest.raises(ValueError):
+            is_block(points, AXIS)
 
 
 def is_block_by_walks(points, member):
@@ -245,7 +255,14 @@ class TestPlainBlocks:
     @pytest.mark.parametrize("reshape", [
         lambda b: b[:3], lambda b: b + b[:1], lambda b: b + ((9, 9, 9),),
         lambda b: b[:3] + b[:1], lambda b: (),
-    ], ids=["three", "five-repeated", "five-distinct", "four-repeated", "empty"])
+        lambda b: tuple(pt[:2] for pt in b),
+        lambda b: (b[0][:2],) + b[1:], lambda b: (b[0] + (0,),) + b[1:],
+        lambda b: ((str(b[0][0]),) + b[0][1:],) + b[1:],
+        lambda b: (b[0][:2] + (None,),) + b[1:],
+        # equal to the int point it replaces: only its type is wrong
+        lambda b: ((b[0][0], bool(b[0][1]), b[0][2]),) + b[1:],
+    ], ids=["three", "five-repeated", "five-distinct", "four-repeated", "empty",
+            "planar", "2d-point", "4d-point", "str-point", "none-point", "bool-point"])
     def test_malformed_block_rejected_with_its_index(self, index, reshape):
         cov = base_covering("S1")
         blocks = list(cov.blocks)
@@ -253,87 +270,34 @@ class TestPlainBlocks:
         v = verify_covering(Covering(cov.cells, cov.height, blocks, cov.family))
         assert (v.ok, v.reason, v.witness) == (False, "block", index)
 
-
-class TestAlgebra:
-    def test_translate(self):
-        cov = translate(base_covering("S1"), 3, -1)
-        assert cov.cells == {(4, 0), (4, 1), (5, 1)}
-        assert verify_covering(cov)
-        back = translate(cov, -3, 1)
-        assert back == base_covering("S1")
-
-    def test_translate_certifies_its_result(self):
-        # the public algebra keeps its contract: an invalid result raises
+    def test_earlier_invalid_block_named_first(self):
+        # a wrong walk at index 1 comes before a mistyped point at index 2
         cov = base_covering("S1")
-        bad = Covering(cov.cells, cov.height, cov.blocks[1:], cov.family)
-        with pytest.raises(InternalInconsistency):
-            translate(bad, 1, 0)
+        blocks = [list(blk) for blk in cov.blocks]
+        blocks[1] = [(9, 9, 9), (9, 9, 10), (9, 9, 11), (9, 9, 12)]
+        blocks[2][0] = (1, 1)
+        v = verify_covering(Covering(cov.cells, cov.height, blocks, cov.family))
+        assert (v.ok, v.reason, v.witness) == (False, "block", 1)
 
-    def test_stretch_identity(self):
-        cov = base_covering("S1")
-        assert stretch_e1(cov, 1) == cov
-
-    def test_stretch_scales_family(self):
-        cov = stretch_e1(base_covering("T1"), 3)
-        assert cov.cells == {(3, 1), (3, 2), (6, 1)}
-        assert cov.family == (((3, 0, 0), (-3, 1, 0), E3),)
-        assert verify_covering(cov)
-
-    def test_stretch_rejects_nonpositive(self):
+    @pytest.mark.parametrize("cells,blocks", [
+        ({(1, 1)}, [5]),
+        (5, []),
+        ({(1, 1)}, 5),
+        ([5], []),
+        ({(1, 1)}, [[5, 6, 7, 8]]),
+    ], ids=["int-block", "int-cells", "int-blocks", "int-cell", "int-points"])
+    def test_non_iterable_fields_are_value_errors(self, cells, blocks):
         with pytest.raises(ValueError):
-            stretch_e1(base_covering("S1"), 0)
+            Covering(cells, 4, blocks, axis_family(1))
 
-    @given(st.integers(1, 4), st.integers(-3, 3), st.integers(-3, 3))
-    def test_stretch_commutes_with_translate(self, w, dx, dy):
-        cov = base_covering("S2")
-        assert stretch_e1(translate(cov, dx, dy), w) == \
-            translate(stretch_e1(cov, w), w * dx, dy)
 
-    def test_replicate(self):
-        cov = replicate_height(base_covering("S1"), 20)
-        assert cov.height == 20
-        assert len(cov.blocks) == 15  # 5 copies of 3 blocks
-        assert verify_covering(cov)
-
-    def test_replicate_identity(self):
-        cov = base_covering("S1")
-        assert replicate_height(cov, 4) == cov
-
-    def test_replicate_t3(self):
-        cov = replicate_height(base_covering("T3"), 4)
-        assert cov.height == 4 and len(cov.blocks) == 4
-
-    def test_replicate_rejects_non_multiple(self):
-        with pytest.raises(ValueError):
-            replicate_height(base_covering("S1"), 6)
-
-    def test_compose_s3(self):
+class TestRectangles:
+    def test_covering_S3(self):
         cov = covering_S3()
         assert cov.cells == box(3, 2)
         assert cov.height == 4
         assert verify_covering(cov)
 
-    def test_compose_singleton(self):
-        cov = base_covering("S1")
-        assert compose([cov]) == cov
-
-    def test_compose_overlap_names_pair(self):
-        cov = base_covering("S1")
-        with pytest.raises(ValueError, match=r"components 0 and 1 overlap"):
-            compose([cov, cov])
-
-    def test_compose_height_mismatch(self):
-        with pytest.raises(ValueError, match="height"):
-            compose([base_covering("S1"), translate(base_covering("T3"), 5, 0)])
-
-    def test_compose_merges_families(self):
-        left = stretch_e1(base_covering("T1"), 2)
-        right = translate(stretch_e1(base_covering("T1"), 3), 10, 0)
-        cov = compose([left, right])
-        assert cov.family == skew_family(2, 3)
-
-
-class TestRectangles:
     @pytest.mark.parametrize("k", range(2, 10))
     def test_covering_S4(self, k):
         cov = covering_S4(k)

@@ -71,6 +71,12 @@ class TestParts:
         with pytest.raises(ValueError, match="at least one element"):
             tiling_from_json({"gaps": [1, 1, 1], "interval": [1, 4], "parts": [[]]})
 
+    @pytest.mark.parametrize("parts", [(5,), 5, None, ((1, 2), 3)],
+                             ids=["int-part", "int-parts", "none-parts", "int-second-part"])
+    def test_non_iterable_parts_are_value_errors(self, parts):
+        with pytest.raises(ValueError, match="sequence of sequences"):
+            Tiling(1, 4, parts)
+
     def test_parts_stored_as_tuples(self):
         t = Tiling(1, 4, [[1, 2, 3, 4]])
         assert t.parts == ((1, 2, 3, 4),)

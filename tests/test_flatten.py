@@ -4,7 +4,7 @@ from typing import NamedTuple
 import pytest
 
 from gaptile.assemble import decompose_good, plan
-from gaptile.blocks3d import Block, Covering, replicate_height
+from gaptile.blocks3d import Block, Covering
 from gaptile.core import InternalInconsistency, gap_multiset
 from gaptile.flatten import flatten_blocks
 from gaptile.layers import NiceLayer, layer_x1, layer_x2, layer_y1, layer_y2
@@ -67,6 +67,12 @@ def flatten_with_phi(stack, r, shift):
             for i, (_, cov) in enumerate(stack.pairs) for blk in cov.blocks]
 
 
+def stacked_twice(cov):
+    """The covering with a copy of itself on top: same cells, twice the height."""
+    lifted = tuple(tuple((x, y, z + cov.height) for x, y, z in blk) for blk in cov.blocks)
+    return Covering(cov.cells, 2 * cov.height, cov.blocks + lifted, cov.family)
+
+
 class TestStack:
     def test_single_row_shape(self):
         values = phi([NiceLayer(2, 1, 0)], height=1, d=1, r=2)
@@ -103,7 +109,7 @@ class TestStack:
 
     def test_mismatched_heights_rejected(self):
         layer, cov = layer_y2(1, 1)
-        tall = (layer, replicate_height(cov, 8))
+        tall = (layer, stacked_twice(cov))
         with pytest.raises(ValueError, match="height"):
             flatten_blocks([layer_y1(1, 1), tall], 1, 100, 1, 1)
         with pytest.raises(ValueError, match="height"):

@@ -47,6 +47,21 @@ COVERINGS = {
                        "bce39ce89d91aa1d7ff3e4cbb1ce8cc5b267e8aaa6178ca3edd2650adb68fb50"),
     "covering_S7(5)": (lambda: covering_S7(5),
                        "e0f1e20b2698134af82e02aafeb77c6072c5c16e2024d4c9335c893d23a1c992"),
+    # t = 0: a one-member family, no staircase or step pieces
+    "layer_y1(3, 3)": (lambda: layer_y1(3, 3)[1],
+                       "2324e7e0cd76998458047f7017f300abb4a7f4b0966f1264aaa2857b4c933d29"),
+    "layer_y2(3, 3)": (lambda: layer_y2(3, 3)[1],
+                       "4f5905a353d57d89f75d7775c45a36f544edcae36a6dd3716e937ba95897e127"),
+    # t = p: no corner pieces
+    "layer_y1(2, 4)": (lambda: layer_y1(2, 4)[1],
+                       "a0c6403295c09022d8f7246bac168bc8deb5c011006414cf0e0325d4b294086a"),
+    "layer_y2(2, 4)": (lambda: layer_y2(2, 4)[1],
+                       "b5a83205cad9590665865490fe415a2b5d0eff1c9a884461ee8b8dcf376d38df"),
+    # even widths: columns only, and the S6 tail
+    "covering_S4(4)": (lambda: covering_S4(4),
+                       "7f8ca0565134243e433bebdb1e623a129585249e1189f6b8a1987c581bf5dd08"),
+    "covering_S7(4)": (lambda: covering_S7(4),
+                       "d1d1c56f025956a1f86d0ca3d018b6e344be4e026f992b021d1e48b7e4873788"),
 }
 
 

@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from gaptile import blocks3d
-from gaptile.blocks3d import verify_covering
+from gaptile import blocks3d, layers
+from gaptile.blocks3d import Covering, verify_covering
+from gaptile.core import InternalInconsistency
 from gaptile.layers import NiceLayer, layer_x1, layer_x2, layer_y1, layer_y2
 
 
@@ -135,3 +136,31 @@ def test_builder_certifies_its_layer_once(monkeypatch, build, p, q):
     monkeypatch.setattr(blocks3d, "verify_covering", counted)
     _, cov = build(p, q)
     assert len(checked) == 1 and checked[0] is cov
+
+
+@pytest.mark.parametrize("build,p,q", [
+    (layer_x1, 1, 300), (layer_x2, 3, 7), (layer_y1, 2, 3), (layer_y2, 3, 3),
+])
+def test_builder_constructs_one_covering(monkeypatch, build, p, q):
+    # the pieces are block lists; only the finished layer is a Covering
+    build(p, q)  # the catalog coverings are built once per process, here
+    built = []
+    post_init = Covering.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Covering, "__post_init__", counted)
+    _, cov = build(p, q)
+    assert len(built) == 1 and built[0] is cov
+
+
+@pytest.mark.parametrize("slip", [
+    lambda blocks: blocks[1:], lambda blocks: blocks + blocks[:1],
+], ids=["dropped", "repeated"])
+def test_builder_slip_raises(monkeypatch, slip):
+    skew_piece = layers._skew_piece
+    monkeypatch.setattr(layers, "_skew_piece", lambda name: slip(skew_piece(name)))
+    with pytest.raises(InternalInconsistency):
+        layer_y1(2, 3)
