@@ -109,9 +109,9 @@ def is_block(points, member: Member) -> tuple[Point3, ...] | None:
         bx, by, bz = base = min(pts)
         shape = frozenset((x - bx, y - by, z - bz) for x, y, z in pts)
     except (TypeError, ValueError):
-        raise ValueError(f"is_block needs triples of numbers, got {points!r}") from None
-    if len(pts) != 4:
-        raise ValueError(f"is_block needs exactly 4 distinct points, got {len(pts)}")
+        shape = None
+    if shape is None or len(pts) != 4:
+        raise ValueError(f"is_block needs 4 distinct triples of numbers, got {points!r}")
     walk = _walks(tuple(map(tuple, member))).get(shape)
     return None if walk is None else tuple(_add(base, v) for v in walk)
 
@@ -140,8 +140,8 @@ def verify_covering(covering: Covering, family: Family | None = None) -> Verdict
     verdict's witness is the offending block index or point.  A block is
     invalid unless it is four distinct points, each three ints (bool
     excluded, as covering_from_json reads them), that realize a family
-    member.  Candidates assembled from untrusted JSON, or from Python
-    sequences of any content, yield a reject, never an exception.
+    member.  Candidates assembled from untrusted JSON, and blocks of any
+    content, yield a reject, never an exception.
 
     Memory follows the blocks, not the slab: the coverage witness is the
     least stray point or the least missing one, found by scanning the slab
