@@ -150,20 +150,23 @@ def verify_covering(covering: Covering, family: Family | None = None) -> Verdict
     if family is None:
         family = covering.family
     blocks = covering.blocks
+    points = list(chain.from_iterable(blocks))
     bad = len(blocks)
-    if not _int_triples(blocks):
+    if not _int_triples(points):
         # one bulk pass clears a well-typed covering; only a failing one is
         # walked block by block, to name the first bad index
-        bad = next(i for i, block in enumerate(blocks) if not _int_triples((block,)))
+        bad = next(i for i, block in enumerate(blocks) if not _int_triples(block))
     for index, block in enumerate(blocks[:bad]):
         if (len(block) != 4 or len(set(block)) != 4
                 or not any(is_block(block, m) for m in family)):
             return Verdict(False, "block", index)
     if bad < len(blocks):
         return Verdict(False, "block", bad)
-    seen: set[Point3] = set()
-    for block in blocks:
-        for point in block:
+    seen: set[Point3] = set(points)
+    if len(seen) < len(points):
+        # name the first point, in block order, that an earlier block holds
+        seen = set()
+        for point in points:
             if point in seen:
                 return Verdict(False, "overlap", point)
             seen.add(point)
@@ -177,9 +180,8 @@ def verify_covering(covering: Covering, family: Family | None = None) -> Verdict
     return Verdict(True)
 
 
-def _int_triples(blocks) -> bool:
-    """Whether every point of every block is three ints, bool excluded."""
-    points = list(chain.from_iterable(blocks))
+def _int_triples(points) -> bool:
+    """Whether every point is three ints, bool excluded."""
     return set(map(len, points)) <= {3} and set(map(type, chain.from_iterable(points))) <= {int}
 
 
