@@ -31,7 +31,6 @@ from .blocks3d import (
     covering_S7,
     covering_from_json,
     covering_to_json,
-    is_block,
     skew_family,
     verify_covering,
 )
@@ -55,7 +54,7 @@ __all__ = [
     "SearchBudget", "Tiling", "UnsupportedParameters", "Verdict", "axis_family",
     "base_covering", "build_T", "covering_S3", "covering_S4", "covering_S7",
     "covering_from_json", "covering_to_json", "decompose_good", "flatten_blocks",
-    "gap_multiset", "is_block", "layer_x1", "layer_x2", "layer_y1", "layer_y2",
+    "gap_multiset", "layer_x1", "layer_x2", "layer_y1", "layer_y2",
     "min_interval", "plan", "skew_family", "solve_covering", "solve_interval",
     "threshold", "tile", "tiling_from_json", "tiling_to_json", "verify_covering",
     "verify_tiling",

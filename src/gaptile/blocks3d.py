@@ -8,7 +8,11 @@ member"; the two kinds used here are
     axis member   (m*e1, e2, e3)            unit steps plus a column jump m
     skew member   (m*e1, e2 - m*e1, e3)     the row step leans back m columns
 
-A block is a plain 4-tuple of point tuples (Block), judged by verify_covering.
+Whether four points form a block depends only on their shape, the set
+translated so that its least point is the origin.  A block is a plain
+4-tuple of point tuples (Block); verify_covering judges it by looking its
+shape up among the walk shapes of the covering's family, built once per
+call.
 
 A covering of a planar shape S at height h is a partition of the slab
 S x {1..h} into family blocks.  This module ships a small catalog of base
@@ -19,13 +23,13 @@ A builder places stretched, translated and stacked copies of catalog
 blocks as a plain block list, wraps it in the one Covering of the shape it
 means to cover, and runs verify_covering on that covering once.  An invalid
 covering cannot escape the package, and verify_covering never trusts stored
-block orderings but re-derives them from scratch.
+block orderings: it judges each block by its shape alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from itertools import accumulate, chain, permutations
 
 from .core import InternalInconsistency, Verdict
@@ -43,15 +47,15 @@ E3: Vec3 = (0, 0, 1)
 
 def axis_family(m: int) -> Family:
     """One-member family (m*e1, e2, e3)."""
-    if m < 1:
-        raise ValueError("column stride must be positive")
+    if type(m) is not int or m < 1:
+        raise ValueError(f"column stride must be a positive integer, got {m!r}")
     return (((m, 0, 0), E2, E3),)
 
 
 def skew_family(p: int, q: int) -> Family:
     """Family {(m*e1, e2 - m*e1, e3) : m in {p, q}}; one member when p == q."""
-    if p < 1 or q < 1:
-        raise ValueError("column strides must be positive")
+    if type(p) is not int or type(q) is not int or p < 1 or q < 1:
+        raise ValueError(f"column strides must be positive integers, got {p!r}, {q!r}")
     members = []
     for m in (p, q):
         member = ((m, 0, 0), (-m, 1, 0), E3)
@@ -61,8 +65,8 @@ def skew_family(p: int, q: int) -> Family:
 
 
 #: Four points of Z^3.  Their order is a convenience: verify_covering
-#: rejects a block that is not four distinct points, and re-derives an
-#: ordering with is_block.
+#: judges a block by its shape alone, the point set translated so that its
+#: least point is the origin.
 Block = tuple[Point3, Point3, Point3, Point3]
 
 
@@ -71,8 +75,9 @@ class Covering:
     """A shape, a height, the blocks partitioning shape x {1..height}, and
     the family the blocks are drawn from.  Cells, blocks and their points are
     stored as tuples, whatever sequences they were given as.  A height that
-    is not a positive integer (bool included), and cells, blocks or a family
-    that cannot be read as such sequences, are a ValueError."""
+    is not a positive integer (bool included), cells or blocks that cannot
+    be read as such sequences, and a family member that is not three lists
+    or tuples of three ints (bool excluded), are a ValueError."""
 
     cells: frozenset[Cell]
     height: int
@@ -83,7 +88,8 @@ class Covering:
         try:
             object.__setattr__(self, "cells", frozenset(tuple(c) for c in self.cells))
             object.__setattr__(self, "blocks", tuple(tuple(map(tuple, b)) for b in self.blocks))
-            object.__setattr__(self, "family", tuple(self.family))
+            object.__setattr__(self, "family", tuple(
+                _points(m, 3, 3, "a family member") for m in self.family))
         except TypeError as exc:
             raise ValueError(f"cells, blocks and family must be sequences: {exc}") from None
         if type(self.height) is not int:
@@ -94,61 +100,21 @@ class Covering:
             raise ValueError("covering needs a nonempty family")
 
 
-def is_block(points, member: Member) -> tuple[Point3, ...] | None:
-    """Find an ordering of the four points whose consecutive step vectors
-    are a permutation of the member triple, matched exactly.
-
-    Returns the ordering, or None when no ordering works; among several it
-    is the one with the least start point, then the first permutation in
-    sorted order.  Points must be four distinct triples of numbers; anything
-    else raises ValueError.  (verify_covering admits only int coordinates,
-    bool excluded, before it asks.)
-    """
-    try:
-        pts = {tuple(p) for p in points}
-        bx, by, bz = base = min(pts)
-        shape = frozenset((x - bx, y - by, z - bz) for x, y, z in pts)
-    except (TypeError, ValueError):
-        shape = None
-    if shape is None or len(pts) != 4:
-        raise ValueError(f"is_block needs 4 distinct triples of numbers, got {points!r}")
-    walk = _walks(tuple(map(tuple, member))).get(shape)
-    return None if walk is None else tuple(_add(base, v) for v in walk)
-
-
-@lru_cache(maxsize=256)
-def _walks(member: Member) -> dict[frozenset[Vec3], tuple[Vec3, ...]]:
-    """Every block shape of a member, translated so its least point is the
-    origin, mapped to the walk is_block reports for it."""
-    walks: dict[frozenset[Vec3], tuple[Vec3, ...]] = {}
-    for perm in sorted(set(permutations(member))):
-        walk = list(accumulate(perm, _add, initial=(0, 0, 0)))
-        base = min(walk)
-        walk = tuple(_sub(p, base) for p in walk)
-        shape = frozenset(walk)
-        # a walk from a lesser start point wins; ties keep the earlier permutation
-        if shape not in walks or walk[0] < walks[shape][0]:
-            walks[shape] = walk
-    return walks
-
-
-def verify_covering(covering: Covering, family: Family | None = None) -> Verdict:
-    """Accept iff every block is a family block and the blocks partition
-    cells x {1..height} exactly.
+def verify_covering(covering: Covering) -> Verdict:
+    """Accept iff every block is a block of the covering's family and the
+    blocks partition cells x {1..height} exactly.
 
     Checks run in the fixed order block validity, overlap, coverage; the
     verdict's witness is the offending block index or point.  A block is
-    invalid unless it is four distinct points, each three ints (bool
-    excluded, as covering_from_json reads them), that realize a family
-    member.  Candidates assembled from untrusted JSON, and blocks of any
+    valid iff it is four points, each three ints (bool excluded, as
+    covering_from_json reads them), whose shape is the shape of a member's
+    walk.  Candidates assembled from untrusted JSON, and blocks of any
     content, yield a reject, never an exception.
 
     Memory follows the blocks, not the slab: the coverage witness is the
     least stray point or the least missing one, found by scanning the slab
     in sorted order, within len(seen) + 1 steps by pigeonhole.
     """
-    if family is None:
-        family = covering.family
     blocks = covering.blocks
     points = list(chain.from_iterable(blocks))
     bad = len(blocks)
@@ -156,9 +122,9 @@ def verify_covering(covering: Covering, family: Family | None = None) -> Verdict
         # one bulk pass clears a well-typed covering; only a failing one is
         # walked block by block, to name the first bad index
         bad = next(i for i, block in enumerate(blocks) if not _int_triples(block))
+    shapes = _family_shapes(covering.family)
     for index, block in enumerate(blocks[:bad]):
-        if (len(block) != 4 or len(set(block)) != 4
-                or not any(is_block(block, m) for m in family)):
+        if len(block) != 4 or _block_shape(block) not in shapes:
             return Verdict(False, "block", index)
     if bad < len(blocks):
         return Verdict(False, "block", bad)
@@ -178,6 +144,21 @@ def verify_covering(covering: Covering, family: Family | None = None) -> Verdict
     if mismatches:
         return Verdict(False, "coverage", min(mismatches))
     return Verdict(True)
+
+
+def _family_shapes(family: Family) -> set[frozenset[Vec3]]:
+    """The shapes of a family's blocks: each member's walk from the origin,
+    under every ordering of its steps, that visits four distinct points."""
+    walks = (list(accumulate(steps, lambda a, v: (a[0] + v[0], a[1] + v[1], a[2] + v[2]),
+                             initial=(0, 0, 0)))
+             for member in family for steps in permutations(member))
+    return {shape for shape in map(_block_shape, walks) if len(shape) == 4}
+
+
+def _block_shape(points) -> frozenset[Vec3]:
+    """The point set translated so that its least point is the origin."""
+    bx, by, bz = min(points)
+    return frozenset((x - bx, y - by, z - bz) for x, y, z in points)
 
 
 def _int_triples(points) -> bool:
@@ -325,12 +306,13 @@ def covering_S4(k: int) -> Covering:
     stacked copies of the [3] x [2] rectangle for the first three columns and
     [2] x [4] columns after that.  Every piece is stacked to height 20.
     """
-    return _certified(Covering(_box(k, 4), 20, _rectangle(k), (_AXIS,)))
+    blocks = _rectangle(k)  # checks k before _box reads it
+    return _certified(Covering(_box(k, 4), 20, blocks, (_AXIS,)))
 
 
 def _rectangle(k: int) -> list[Block]:
-    if k < 2:
-        raise ValueError(f"rectangle width must be at least 2, got {k}")
+    if type(k) is not int or k < 2:
+        raise ValueError(f"rectangle width must be an integer at least 2, got {k!r}")
     if k % 2 == 0:
         return _two_wide_columns(0, k)
     three = _s3()
@@ -344,12 +326,13 @@ def covering_S7(k: int) -> Covering:
     plus S1 assembly for odd k); the remaining width is filled with
     [2] x [4] columns.
     """
-    return _certified(Covering(_box(k, 4) | {(k + 1, 4)}, 20, _notched_rectangle(k), (_AXIS,)))
+    blocks = _notched_rectangle(k)  # checks k before _box reads it
+    return _certified(Covering(_box(k, 4) | {(k + 1, 4)}, 20, blocks, (_AXIS,)))
 
 
 def _notched_rectangle(k: int) -> list[Block]:
-    if k < 2:
-        raise ValueError(f"notched rectangle width must be at least 2, got {k}")
+    if type(k) is not int or k < 2:
+        raise ValueError(f"notched rectangle width must be an integer at least 2, got {k!r}")
     if k % 2 == 0:
         tail, tail_width = base_covering("S6").blocks, 2
     else:
@@ -390,11 +373,10 @@ def covering_from_json(obj) -> Covering:
         raw_blocks = obj["blocks"]
     except KeyError as exc:
         raise ValueError(f"covering JSON missing field: {exc}") from None
-    if not isinstance(raw_family, list) or not isinstance(raw_blocks, list):
-        raise ValueError("family and blocks must be lists")
-    family = tuple(_points(m, 3, 3, "a family member") for m in raw_family)
+    if not isinstance(raw_blocks, list):
+        raise ValueError("blocks must be a list")
     blocks = tuple(_points(b, 4, 3, "a block") for b in raw_blocks)
-    return Covering(cells, height, blocks, family)
+    return Covering(cells, height, blocks, raw_family)
 
 
 def shape_from_json(obj) -> frozenset[Cell]:
@@ -418,11 +400,3 @@ def _points(values, count: int, arity: int, what: str) -> tuple[tuple[int, ...],
     if not isinstance(values, (list, tuple)) or len(values) != count:
         raise ValueError(f"{what} must be {count} lists of {arity} integers, got {values!r}")
     return tuple(_point(v, arity) for v in values)
-
-
-def _add(a: Point3, v: Vec3) -> Point3:
-    return (a[0] + v[0], a[1] + v[1], a[2] + v[2])
-
-
-def _sub(b: Point3, a: Point3) -> Vec3:
-    return (b[0] - a[0], b[1] - a[1], b[2] - a[2])

@@ -36,14 +36,16 @@ from .blocks3d import Block, Covering, Family, _certified, _moved, _notched_rect
 
 @dataclass(frozen=True)
 class NiceLayer:
-    """Shape descriptor: full rows 1..b of width a, then c cells in row b+1."""
+    """Shape descriptor: full rows 1..b of width a, then c cells in row b+1.
+    Each of a, b and c is an int, bool excluded."""
 
     a: int
     b: int
     c: int
 
     def __post_init__(self):
-        if self.a < 1 or self.b < 0 or not 0 <= self.c <= self.a + 1:
+        if (any(type(v) is not int for v in (self.a, self.b, self.c))
+                or self.a < 1 or self.b < 0 or not 0 <= self.c <= self.a + 1):
             raise ValueError(f"bad layer shape a={self.a}, b={self.b}, c={self.c}")
         if self.size < 1:
             raise ValueError("a layer needs at least one cell")
@@ -78,13 +80,13 @@ def _as_layer(layer: NiceLayer, height: int, blocks: list[Block],
 
 
 def _require_wide(p: int, q: int):
-    if p < 1 or q < 2 * p:
-        raise ValueError(f"wide layers need 1 <= p and q >= 2p, got p={p}, q={q}")
+    if type(p) is not int or type(q) is not int or p < 1 or q < 2 * p:
+        raise ValueError(f"wide layers need integers 1 <= p and q >= 2p, got p={p!r}, q={q!r}")
 
 
 def _require_near(p: int, q: int):
-    if p < 1 or not p <= q <= 2 * p:
-        raise ValueError(f"near layers need 1 <= p <= q <= 2p, got p={p}, q={q}")
+    if type(p) is not int or type(q) is not int or p < 1 or not p <= q <= 2 * p:
+        raise ValueError(f"near layers need integers 1 <= p <= q <= 2p, got p={p!r}, q={q!r}")
 
 
 def layer_x1(p: int, q: int) -> tuple[NiceLayer, Covering]:

@@ -6,7 +6,7 @@ from hypothesis import example, given, strategies as st
 
 from gaptile.blocks3d import (
     BASE_IDS, Block, Covering, axis_family, base_covering, covering_S3,
-    covering_S4, covering_S7, covering_from_json, covering_to_json, is_block,
+    covering_S4, covering_S7, covering_from_json, covering_to_json,
     skew_family, verify_covering,
 )
 from gaptile.core import Verdict
@@ -24,34 +24,69 @@ def box(w, h):
     return frozenset((x, y) for x in range(1, w + 1) for y in range(1, h + 1))
 
 
+def is_block_by_walks(points, member):
+    """Reference: the walk search for the block rule, every start point and
+    every permutation of the member's steps.  Anything but four distinct
+    points is no block."""
+    pts = {tuple(p) for p in points}
+    if len(points) != 4 or len(pts) != 4:
+        return None
+    for start in sorted(pts):
+        for perm in sorted(set(permutations(member))):
+            walk = [start]
+            for step in perm:
+                walk.append(tuple(a + b for a, b in zip(walk[-1], step)))
+            if set(walk) == pts:
+                return tuple(walk)
+    return None
+
+
+def one_block(points, family):
+    """A covering whose only block is the given points; verify_covering
+    judges the block before it looks at the cells and the height."""
+    return Covering({(1, 1)}, 1, [points], family)
+
+
+def steps(block):
+    return tuple(tuple(b - a for a, b in zip(u, v)) for u, v in zip(block, block[1:]))
+
+
+def rejected_block(points, family=(AXIS,)):
+    v = verify_covering(one_block(points, family))
+    return (v.ok, v.reason, v.witness) == (False, "block", 0)
+
+
+def reordered_blocks_verify(name):
+    # the first block in each of its 24 orders, most of them no walk
+    cov = base_covering(name)
+    first, *rest = cov.blocks
+    orders = list(permutations(first))
+    assert sum(steps(order) in set(permutations(cov.family[0])) for order in orders) < 24
+    return all(verify_covering(Covering(cov.cells, cov.height, [order, *rest], cov.family))
+               for order in orders)
+
+
 class TestIsBlock:
+    """The block rule, as verify_covering applies it to each block."""
+
     def test_axis_ordering_rederived(self):
-        pts = {(1, 1, 1), (1, 2, 1), (2, 2, 1), (2, 2, 2)}
-        walk = is_block(pts, AXIS)
-        steps = tuple(tuple(b[i] - a[i] for i in range(3))
-                      for a, b in zip(walk, walk[1:]))
-        assert steps == (E2, E1, E3)
+        # a block is judged by its shape, not by the order its points are stored in
+        assert reordered_blocks_verify("S1")
 
     def test_skew_ordering_rederived(self):
-        pts = {(2, 1, 1), (2, 1, 2), (1, 2, 2), (2, 2, 2)}
-        walk = is_block(pts, SKEW)
-        steps = tuple(tuple(b[i] - a[i] for i in range(3))
-                      for a, b in zip(walk, walk[1:]))
-        assert steps == (E3, (-1, 1, 0), E1)
+        assert reordered_blocks_verify("T2")
 
     def test_collinear_is_not_a_block(self):
-        assert is_block({(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)}, AXIS) is None
+        assert rejected_block([(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)])
 
     def test_no_negated_steps(self):
         # reachable only by walking e2 downward, which is not allowed
-        pts = {(0, 0, 0), (1, 0, 0), (1, -1, 0), (1, -1, 1)}
-        assert is_block(pts, AXIS) is None
+        assert rejected_block([(0, 0, 0), (1, 0, 0), (1, -1, 0), (1, -1, 1)])
 
     def test_wrong_cardinality(self):
-        with pytest.raises(ValueError):
-            is_block({(0, 0, 0), (1, 0, 0), (1, 1, 0)}, AXIS)
-        with pytest.raises(ValueError):
-            is_block([(0, 0, 0), (0, 0, 0), (1, 0, 0), (1, 1, 0)], AXIS)
+        assert rejected_block([(0, 0, 0), (1, 0, 0), (1, 1, 0)])
+        assert rejected_block([(0, 0, 0), (0, 0, 0), (1, 0, 0), (1, 1, 0)])
+        assert rejected_block([(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 1, 1)])
 
     @pytest.mark.parametrize("points", [
         [(1, 1), (1, 2), (1, 3), (1, 4)],
@@ -61,22 +96,13 @@ class TestIsBlock:
         [5, (1, 2, 1), (2, 2, 1), (2, 2, 2)],
     ], ids=["2d", "4d", "str", "none", "not-a-point"])
     def test_points_must_be_triples(self, points):
-        with pytest.raises(ValueError):
-            is_block(points, AXIS)
-
-
-def is_block_by_walks(points, member):
-    """Reference: the walk search is_block replaced, every start point and
-    every permutation of the member's steps."""
-    pts = {tuple(p) for p in points}
-    for start in sorted(pts):
-        for perm in sorted(set(permutations(member))):
-            walk = [start]
-            for step in perm:
-                walk.append(tuple(a + b for a, b in zip(walk[-1], step)))
-            if set(walk) == pts:
-                return tuple(walk)
-    return None
+        # a point that is no sequence cannot even be stored; any other
+        # point that is not three ints is a rejected block
+        if isinstance(points[0], tuple):
+            assert rejected_block(points)
+        else:
+            with pytest.raises(ValueError):
+                one_block(points, (AXIS,))
 
 
 MEMBERS = [m for k in (1, 2, 3) for m in axis_family(k) + skew_family(k, k + 1)] + [
@@ -107,16 +133,30 @@ def four_points(draw):
 
 class TestIsBlockReference:
     @given(four_points())
+    @example(([(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)], AXIS))  # collinear
+    @example(([(0, 0, 0), (1, 0, 0), (1, -1, 0), (1, -1, 1)], AXIS))  # a negated step
+    @example(([(0, 0, 0), (1, 0, 0), (1, 1, 0)], AXIS))  # three points
+    @example(([(0, 0, 0), (0, 0, 0), (1, 0, 0), (1, 1, 0)], AXIS))  # a repeated point
+    @example(([(0, 0, 0), (1, 0, 0), (0, 0, 0), (0, 0, 1)], MEMBERS[-2]))  # a revisiting walk
     def test_matches_walk_search(self, case):
+        # verify_covering rejects the block exactly when the walk search
+        # finds no walk
         points, member = case
-        assert is_block(points, member) == is_block_by_walks(points, member)
+        v = verify_covering(one_block(points, (member,)))
+        assert (v.reason == "block") == (is_block_by_walks(points, member) is None)
 
     @pytest.mark.parametrize("name", BASE_IDS)
     def test_catalog_orderings_unchanged(self, name):
+        # the catalog stores every block as a walk of its member, and each
+        # block alone passes the rule under its family and not under the
+        # other kind of member
         cov = base_covering(name)
+        (member,) = cov.family
         for blk in cov.blocks:
-            assert is_block(blk, cov.family[0]) == \
-                is_block_by_walks(blk, cov.family[0])
+            assert steps(blk) in set(permutations(member))
+            assert is_block_by_walks(blk, member) is not None
+            assert verify_covering(one_block(blk, cov.family)).reason != "block"
+            assert rejected_block(blk, (SKEW if member == AXIS else AXIS,))
 
 
 class TestCatalog:
@@ -126,7 +166,6 @@ class TestCatalog:
         assert cov.height == HEIGHTS[name]
         assert len(cov.blocks) * 4 == len(cov.cells) * cov.height
         assert verify_covering(cov)
-        assert verify_covering(cov, cov.family)
 
     def test_catalog_is_complete(self):
         assert set(BASE_IDS) == set(HEIGHTS)
@@ -157,17 +196,15 @@ class TestCatalog:
 
     def test_foreign_family_rejected(self):
         cov = base_covering("T1")
-        assert not verify_covering(cov, axis_family(1))
+        v = verify_covering(Covering(cov.cells, cov.height, cov.blocks, axis_family(1)))
+        assert (v.ok, v.reason, v.witness) == (False, "block", 0)
 
 
-def verify_covering_with_sets(covering, family=None):
+def verify_covering_with_sets(covering):
     """Reference verifier: the set-based check verify_covering replaced,
     with the walk search for block validity."""
-    family = covering.family if family is None else family
     for index, block in enumerate(covering.blocks):
-        if len(set(block)) != 4:
-            return Verdict(False, "block", index)
-        if not any(is_block_by_walks(block, member) for member in family):
+        if not any(is_block_by_walks(block, member) for member in covering.family):
             return Verdict(False, "block", index)
     seen = set()
     for block in covering.blocks:
@@ -184,9 +221,12 @@ def verify_covering_with_sets(covering, family=None):
 @st.composite
 def tampered_coverings(draw):
     """A catalog covering (or S3), then blocks dropped, repeated or moved,
-    points nudged, cells added or removed, and the height changed."""
+    points nudged, cells added or removed, and the height changed; up to
+    three foreign members go ahead of the covering's own in its family."""
     name = draw(st.sampled_from(BASE_IDS + ("S3",)))
     cov = covering_S3() if name == "S3" else base_covering(name)
+    foreign = [m for m in MEMBERS if m not in cov.family]
+    family = tuple(draw(st.lists(st.sampled_from(foreign), max_size=3, unique=True))) + cov.family
     blocks = [blk for blk in cov.blocks]
     blocks = [b for b in blocks if draw(st.integers(0, 9))]
     if blocks and draw(st.booleans()):
@@ -204,7 +244,7 @@ def tampered_coverings(draw):
     cells -= set(draw(st.lists(st.sampled_from(sorted(cells)), max_size=2)))
     cells |= set(draw(st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 5)), max_size=2)))
     height = cov.height + draw(st.sampled_from([0, 0, 0, -1, 1, cov.height]))
-    return Covering(cells, max(1, height), tuple(Block(b) for b in blocks), cov.family)
+    return Covering(cells, max(1, height), tuple(Block(b) for b in blocks), family)
 
 
 class TestVerifyCoveringReference:
@@ -221,7 +261,8 @@ class TestVerifyCoveringReference:
     def test_huge_height_memory_follows_blocks(self):
         s1 = base_covering("S1")
         cov = Covering(s1.cells, 10**12, s1.blocks, s1.family)
-        verify_covering(s1)  # build is_block's lookup table outside the trace
+        # nothing is cached between calls: the family's shapes are built
+        # inside the trace, and counted in its peak
         tracemalloc.start()
         try:
             v = verify_covering(cov)
@@ -233,9 +274,11 @@ class TestVerifyCoveringReference:
 
 
 def listed(cov):
-    """The same covering with every cell, block and point given as a list."""
+    """The same covering with every cell, block, point, family member and
+    step given as a list."""
     return Covering([list(c) for c in sorted(cov.cells)], cov.height,
-                    [[list(pt) for pt in blk] for blk in cov.blocks], cov.family)
+                    [[list(pt) for pt in blk] for blk in cov.blocks],
+                    [[list(v) for v in member] for member in cov.family])
 
 
 class TestPlainBlocks:
@@ -278,6 +321,19 @@ class TestPlainBlocks:
         blocks[2][0] = (1, 1)
         v = verify_covering(Covering(cov.cells, cov.height, blocks, cov.family))
         assert (v.ok, v.reason, v.witness) == (False, "block", 1)
+
+    @pytest.mark.parametrize("family", [
+        [((1, 0), (0, 1), (0, 0))],
+        [5],
+        [(("a", 0, 0), (0, 1, 0), (0, 0, 1))],
+        [((True, 0, 0), (0, 1, 0), (0, 0, 1))],
+        [((1, 0, 0), (0, 1, 0))],
+    ], ids=["planar-member", "int-member", "str-step", "bool-step", "two-steps"])
+    def test_malformed_family_is_value_error(self, family):
+        # read as covering_from_json reads a family: three triples of ints
+        s1 = base_covering("S1")
+        with pytest.raises(ValueError):
+            Covering(s1.cells, s1.height, s1.blocks, family)
 
     @pytest.mark.parametrize("cells,blocks", [
         ({(1, 1)}, [5]),

@@ -3,7 +3,8 @@ import math
 import pytest
 
 from gaptile import blocks3d, layers
-from gaptile.blocks3d import Covering, verify_covering
+from gaptile.blocks3d import Covering, axis_family, covering_S4, covering_S7, skew_family, \
+    verify_covering
 from gaptile.core import InternalInconsistency
 from gaptile.layers import NiceLayer, layer_x1, layer_x2, layer_y1, layer_y2
 
@@ -129,9 +130,9 @@ def test_builder_certifies_its_layer_once(monkeypatch, build, p, q):
     build(p, q)  # the catalog pieces are certified once per process, here
     checked = []
 
-    def counted(covering, family=None):
+    def counted(covering):
         checked.append(covering)
-        return verify_covering(covering, family)
+        return verify_covering(covering)
 
     monkeypatch.setattr(blocks3d, "verify_covering", counted)
     _, cov = build(p, q)
@@ -164,3 +165,16 @@ def test_builder_slip_raises(monkeypatch, slip):
     monkeypatch.setattr(layers, "_skew_piece", lambda name: slip(skew_piece(name)))
     with pytest.raises(InternalInconsistency):
         layer_y1(2, 3)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: layer_x1(1.5, 4), lambda: layer_y1(2.0, 3), lambda: layer_x1(1, 4.0),
+    lambda: layer_x2(1, 2.0), lambda: layer_y2(2, 3.0), lambda: covering_S4(4.0),
+    lambda: covering_S7(3.0), lambda: layer_x1(True, 2), lambda: NiceLayer(2.5, 1, 0),
+    lambda: NiceLayer(2, True, 0), lambda: axis_family(2.0), lambda: skew_family(1, True),
+], ids=["x1-float-p", "y1-float-p", "x1-float-q", "x2-float-q", "y2-float-q", "s4-float",
+        "s7-float", "x1-bool-p", "layer-float-a", "layer-bool-b", "axis-float", "skew-bool"])
+def test_non_integer_arguments_are_value_errors(build):
+    # the range checks read only ints, bool excluded
+    with pytest.raises(ValueError):
+        build()
