@@ -76,8 +76,10 @@ class Covering:
     the family the blocks are drawn from.  Cells, blocks and their points are
     stored as tuples, whatever sequences they were given as.  A height that
     is not a positive integer (bool included), cells or blocks that cannot
-    be read as such sequences, and a family member that is not three lists
-    or tuples of three ints (bool excluded), are a ValueError."""
+    be read as such sequences, a cell that is not two ints, and a family
+    member that is not three lists or tuples of three ints (bool excluded,
+    as shape_from_json and covering_from_json read them), are a
+    ValueError."""
 
     cells: frozenset[Cell]
     height: int
@@ -86,12 +88,16 @@ class Covering:
 
     def __post_init__(self):
         try:
-            object.__setattr__(self, "cells", frozenset(tuple(c) for c in self.cells))
+            cells = tuple(map(tuple, self.cells))
             object.__setattr__(self, "blocks", tuple(tuple(map(tuple, b)) for b in self.blocks))
             object.__setattr__(self, "family", tuple(
                 _points(m, 3, 3, "a family member") for m in self.family))
         except TypeError as exc:
             raise ValueError(f"cells, blocks and family must be sequences: {exc}") from None
+        if not _int_points(cells, 2):
+            bad = next(c for c in cells if not _int_points([c], 2))
+            raise ValueError(f"a cell must be two integers, got {bad!r}")
+        object.__setattr__(self, "cells", frozenset(cells))
         if type(self.height) is not int:
             raise ValueError("height must be an integer")
         if self.height < 1:
@@ -118,10 +124,10 @@ def verify_covering(covering: Covering) -> Verdict:
     blocks = covering.blocks
     points = list(chain.from_iterable(blocks))
     bad = len(blocks)
-    if not _int_triples(points):
+    if not _int_points(points, 3):
         # one bulk pass clears a well-typed covering; only a failing one is
         # walked block by block, to name the first bad index
-        bad = next(i for i, block in enumerate(blocks) if not _int_triples(block))
+        bad = next(i for i, block in enumerate(blocks) if not _int_points(block, 3))
     shapes = _family_shapes(covering.family)
     for index, block in enumerate(blocks[:bad]):
         if len(block) != 4 or _block_shape(block) not in shapes:
@@ -161,9 +167,10 @@ def _block_shape(points) -> frozenset[Vec3]:
     return frozenset((x - bx, y - by, z - bz) for x, y, z in points)
 
 
-def _int_triples(points) -> bool:
-    """Whether every point is three ints, bool excluded."""
-    return set(map(len, points)) <= {3} and set(map(type, chain.from_iterable(points))) <= {int}
+def _int_points(points, arity: int) -> bool:
+    """Whether every point is arity ints, bool excluded."""
+    return (set(map(len, points)) <= {arity}
+            and set(map(type, chain.from_iterable(points))) <= {int})
 
 
 def _certified(covering: Covering) -> Covering:

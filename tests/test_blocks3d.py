@@ -346,6 +346,20 @@ class TestPlainBlocks:
         with pytest.raises(ValueError):
             Covering(cells, 4, blocks, axis_family(1))
 
+    @pytest.mark.parametrize("cells", [
+        {(1, 1), ("a", 1)},
+        {(1, 1), (None, 1)},
+        [(1, 1, 1)],
+        [(1,)],
+        [(1, 1), (True, 2)],
+        [(1, 1), (1, 2.0)],
+    ], ids=["str-cell", "none-cell", "3d-cell", "1d-cell", "bool-cell", "float-cell"])
+    def test_cell_must_be_two_ints(self, cells):
+        # read as shape_from_json reads a cell, so verify_covering never
+        # meets a cell it cannot compare or unpack
+        with pytest.raises(ValueError, match="a cell must be two integers"):
+            Covering(cells, 4, [], axis_family(1))
+
 
 class TestRectangles:
     def test_covering_S3(self):

@@ -1,10 +1,11 @@
-"""Golden output: the exact bytes `gaptile tile` and `gaptile layer` emit for
-a few grid points.
+"""Golden output: the exact bytes `gaptile tile`, `gaptile layer` and
+`gaptile oracle` emit for a few inputs.
 
-A refactor of the construction must keep tiling_to_json and
-covering_to_json byte-identical.  The tiling digests are the same pins the
-benchmark checks; the covering digests pin the block and family order of
-the rectangle and layer builders.
+A refactor of the construction or of the oracle must keep tiling_to_json
+and covering_to_json byte-identical.  The tiling digests are the same pins
+the benchmark checks; the covering digests pin the block and family order
+of the rectangle and layer builders; the oracle digests pin which solution
+each search finds first, in the order of its parts, blocks and points.
 """
 
 import hashlib
@@ -13,9 +14,12 @@ import json
 import pytest
 
 from gaptile.assemble import tile
-from gaptile.blocks3d import covering_S4, covering_S7, covering_to_json
+from gaptile.blocks3d import (
+    BASE_IDS, base_covering, covering_S3, covering_S4, covering_S7, covering_to_json,
+)
 from gaptile.core import GapSequence, tiling_to_json
 from gaptile.layers import layer_x1, layer_x2, layer_y1, layer_y2
+from gaptile.oracle import min_interval, solve_covering
 
 GOLDEN = {
     (1, 2, 56): "2197c11975750509f03fd6b3ebc843ae26373981a70cba3356f6b4afe662bb35",
@@ -70,3 +74,52 @@ def test_covering_json_bytes_pinned(name):
     build, digest = COVERINGS[name]
     text = json.dumps(covering_to_json(build()))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+# solve_covering on each catalog shape at its own height, and on the shapes
+# and heights the benchmark searches
+ORACLE_COVERINGS = {
+    "S1": "e3eb13c3bef980c69b22381b2cb9e8fd95eed490c40515f921f5bafefb2a7b74",
+    "S2": "adcffbe62a6ab0a57fdad3bccf27d14adf16fb001fd1c2179021d9b7728af17e",
+    "S4_2x4": "86717e20dd48c492c26ab722d5f3ad901b40bfb3956e77a07d3c3c42e9d9ea94",
+    "S5": "32ecba9976287dd75072a6dc83d427bd2cd35436ed213f155bf8e0f45a134f95",
+    "S6": "86d89c52a7f8fa619d29e30b97b81c6eaf67e230bd06cd84bbd0dccde2abffcb",
+    "T1": "bc727615a62e49bcc63bdce83517c1af33fc28b7de70fffdcd5e2b05a78cd169",
+    "T2": "d6820b4c7a7c3890ac63b4e56d14bb617a6b430930de7b1ae6ab5ef12a411bcb",
+    "T3": "f4e81252b89871f62001123708a398d5769f69e6469e5a3cc5cdb49cacfd1a06",
+    "T4": "976829387c27e7381838afa1db2bfaa9ecd11c0a2058fb34ff82a79f5360e51a",
+    "T5": "ec5f369705558514da29cd54a8026b99b10777d8db61329edc8d658735e8d7bd",
+    "S3@8": "1fccdaa680af28ae8b15b942c6c1039cb5b030794cb4007fdf1549e12aeb8693",
+    "S3@12": "f288bc32bd145f84b84e8becae858693ac5c246bcdece393512e80720465843e",
+    "Y1(1, 2)@4": "4de5608bcf9c52855e6044f85172bba2446cf40ea873a218048e437cc19221eb",
+}
+SHAPES = {"S3": covering_S3, "Y1(1, 2)": lambda: layer_y1(1, 2)[1]}
+
+
+# S4_2x4's own height is 5, so its pin is also the benchmark's S4_2x4@5; a
+# catalog shape without a pin fails with a KeyError
+@pytest.mark.parametrize("name", [*BASE_IDS, "S3@8", "S3@12", "Y1(1, 2)@4"])
+def test_oracle_covering_json_bytes_pinned(name):
+    shape, _, height = name.partition("@")
+    base = SHAPES[shape]() if height else base_covering(shape)
+    found = solve_covering(base.cells, int(height or base.height), base.family)
+    assert digest(covering_to_json(found)) == ORACLE_COVERINGS[name]
+
+
+ORACLE_TILINGS = {
+    (3, 4, 12): (36, "a02e370da4ed5a1634cf40ddb9441cd39fa52e6bec99cca243b77b8696399bcf"),
+    (2, 5, 13): (32, "640d515db28bccc4c96b6cbf09f84affd45118f20dd5105827504f5921ac368c"),
+    (3, 5, 11): (32, "c7c1fcb7218d25e0cc0dae7eb8be7cfd132415ac039a6012507bb6c447927024"),
+    (4, 5, 9): (24, "4edad8fda72599441acee3ded132d1f297a7ed1dc3a1fedf2009c5422d147450"),
+    (3, 7, 10): (28, "69bf12bc1f93e54335f9d8c683864abde0d5254d3cdf8ca66e799c9610c8c645"),
+}
+
+
+@pytest.mark.parametrize("gaps", ORACLE_TILINGS, ids=str)
+def test_oracle_tiling_json_bytes_pinned(gaps):
+    n, tiling = min_interval(GapSequence(gaps), 120)
+    assert (n, digest(tiling_to_json(tiling, GapSequence(gaps)))) == ORACLE_TILINGS[gaps]

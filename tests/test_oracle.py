@@ -4,8 +4,9 @@ from itertools import combinations
 
 import pytest
 
+from gaptile import oracle
 from gaptile.blocks3d import axis_family, base_covering, skew_family, verify_covering
-from gaptile.core import GapSequence, Tiling, gap_multiset, verify_tiling
+from gaptile.core import GapSequence, InternalInconsistency, Tiling, gap_multiset, verify_tiling
 from gaptile.oracle import (
     BUDGET_EXHAUSTED, SearchBudget, min_interval, solve_covering, solve_interval,
 )
@@ -192,3 +193,60 @@ class TestSolveCovering:
         a = solve_covering(base.cells, base.height, base.family)
         b = solve_covering(base.cells, base.height, base.family)
         assert a == b
+
+    def test_revisiting_walk_is_no_block(self):
+        # every ordering of (e1, e1, -e1) visits a point twice, so the family
+        # has no block and no covering exists; a placed walk of three points
+        # would build a covering the verifier rejects
+        family = (((1, 0, 0), (1, 0, 0), (-1, 0, 0)),)
+        assert solve_covering({(1, 1), (2, 1), (3, 1), (4, 1)}, 3, family) is None
+
+
+class TestSharedSearch:
+    """What both public searches owe their caller, whatever _exact_cover does."""
+
+    SEARCHES = {
+        "solve_interval": lambda: solve_interval(GapSequence.of(1, 1, 1), 8),
+        "min_interval": lambda: min_interval(GapSequence.of(1, 1, 1), 12),
+        "solve_covering": lambda: solve_covering(base_covering("S1").cells, 4, axis_family(1)),
+    }
+
+    @pytest.mark.parametrize("name", SEARCHES)
+    def test_altered_placement_is_internal_inconsistency(self, monkeypatch, name):
+        # the first placement found is returned shifted by one index: the
+        # verifier of each public search must reject what that builds
+        real = oracle._exact_cover
+
+        def altered(size, anchored, budget):
+            found = real(size, anchored, budget)
+            found[0] = tuple(i + 1 for i in found[0])
+            return found
+
+        monkeypatch.setattr(oracle, "_exact_cover", altered)
+        with pytest.raises(InternalInconsistency):
+            self.SEARCHES[name]()
+
+    @pytest.mark.parametrize("call", [
+        lambda: SearchBudget(2.5),
+        lambda: SearchBudget(True),
+        lambda: SearchBudget("5"),
+        lambda: solve_interval(GapSequence.of(1, 1, 1), 8.0),
+        lambda: solve_interval(GapSequence.of(1, 1, 1), True),
+        lambda: min_interval(GapSequence.of(1, 1, 1), 12.5),
+        lambda: min_interval(GapSequence.of(1, 1, 1), True),
+        lambda: solve_covering(base_covering("S1").cells, 4.0, base_covering("S1").family),
+        lambda: solve_covering(base_covering("S1").cells, True, base_covering("S1").family),
+        lambda: solve_covering([(1, 1), ("a", 1)], 4, axis_family(1)),
+        lambda: solve_covering([(1, 1), (1, 2, 3)], 4, axis_family(1)),
+        lambda: solve_covering(base_covering("S1").cells, 4, [((1, 0), (0, 1), (0, 0))]),
+        lambda: solve_covering(base_covering("S1").cells, 4, ()),
+    ], ids=["budget-float", "budget-bool", "budget-str", "n-float", "n-bool",
+            "n_max-float", "n_max-bool", "height-float", "height-bool", "str-cell",
+            "3d-cell", "planar-member", "empty-family"])
+    def test_malformed_input_is_value_error_before_any_search(self, monkeypatch, call):
+        def no_search(*args):
+            raise AssertionError("the search ran on malformed input")
+
+        monkeypatch.setattr(oracle, "_exact_cover", no_search)
+        with pytest.raises(ValueError):
+            call()
