@@ -15,7 +15,7 @@ re-derives everything from the candidate itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count, repeat
 from numbers import Real
 from operator import eq, itemgetter, ne, sub
 from typing import Any
@@ -150,19 +150,23 @@ def verify_tiling(tiling: Tiling, gaps: GapSequence) -> Verdict:
     gap check also rejects a part whose elements are not in increasing
     order.
 
+    An element is an integer when its type is int, so a bool is not one.
     Integers of [lo, hi] are marked in a bytearray indexed by x - lo; every
     other real number goes into a set, and an element that is not an
-    integer counts as stray.  An element that is not a real number is never
-    subtracted, compared or hashed: it is only kept, in the order met, as a
-    stray.  The bytearray spans at most (number of elements + 1) integers,
-    so memory follows the input, not the interval: an interval longer than
-    that cannot be covered, and by pigeonhole its smallest missing integer
-    lies inside the bytearray.
+    integer counts as stray.  An element that is not a real number, or is
+    a bool, is never subtracted, compared or hashed: it is only kept, in
+    the order met, as a stray.  The bytearray spans at most (number of
+    elements + 1) integers, so memory follows the input, not the interval:
+    an interval longer than that cannot be covered, and by pigeonhole its
+    smallest missing integer lies inside the bytearray.
 
-    The gaps of each part are compared as a tuple of consecutive
-    differences, taken column by column over the parts, in a table that
-    sorts each distinct tuple once: a tiling repeats a few shapes many
-    times, and the table never holds more entries than there are parts.
+    The gaps of a part are its tuple of consecutive differences, taken
+    column by column over the parts.  When every part has the prescribed
+    length, the distinct tuples are collected in a set and each is sorted
+    once: a tiling repeats a few shapes many times.  Only when a part of
+    another length or a distinct tuple with the wrong gaps shows up are
+    the parts searched in order, through a table that sorts each distinct
+    tuple once, for the first offending part.
     """
     lo, hi = tiling.lo, tiling.hi
     parts = tiling.parts
@@ -172,17 +176,17 @@ def verify_tiling(tiling: Tiling, gaps: GapSequence) -> Verdict:
     strays: list = []
     for part in parts:
         for x in part:
-            if isinstance(x, int) and 0 <= (i := x - lo) < window:
+            if type(x) is int and 0 <= (i := x - lo) < window:
                 if marked[i]:
                     return Verdict(False, "disjointness", x)
                 marked[i] = 1
-            elif not isinstance(x, Real):
+            elif type(x) is bool or not isinstance(x, Real):
                 strays.append(x)
             elif x in others:
                 return Verdict(False, "disjointness", x)
             else:
                 others.add(x)
-    mismatches = [x for x in others if not (isinstance(x, int) and lo <= x <= hi)]
+    mismatches = [x for x in others if not (type(x) is int and lo <= x <= hi)]
     missing = marked.find(0)
     if missing >= 0:
         mismatches.append(lo + missing)
@@ -190,14 +194,22 @@ def verify_tiling(tiling: Tiling, gaps: GapSequence) -> Verdict:
         return Verdict(False, "coverage", min(mismatches) if mismatches else strays[0])
     want = gaps.gaps
     k = len(want) + 1
-    # parts before the first one of another length: look up their differences
+    if set(map(len, parts)) <= {k} and all(
+            tuple(sorted(diffs)) == want for diffs in set(_differences(parts, k))):
+        return Verdict(True)
+    # some part has another length or the wrong gaps: the first such part is
+    # the first of another length, unless a part before it has the wrong gaps
     j = next(compress(count(), map(ne, map(len, parts), repeat(k))), len(parts))
-    columns = [map(sub, map(itemgetter(i + 1), islice(parts, j)),
-                   map(itemgetter(i), islice(parts, j))) for i in range(k - 1)]
-    bad = next(compress(count(), map(_GapMismatch(want).__getitem__, zip(*columns))), j)
-    if bad < len(parts):
-        return Verdict(False, "gaps", min(parts[bad]))
-    return Verdict(True)
+    bad = next(compress(count(), map(_GapMismatch(want).__getitem__,
+                                     _differences(parts[:j], k))), j)
+    return Verdict(False, "gaps", min(parts[bad]))
+
+
+def _differences(parts: tuple[Part, ...], k: int):
+    """Each part's tuple of consecutive differences, taken column by column
+    over parts that all have k elements."""
+    return zip(*[map(sub, map(itemgetter(i + 1), parts), map(itemgetter(i), parts))
+                 for i in range(k - 1)])
 
 
 class _GapMismatch(dict):
@@ -216,12 +228,16 @@ class _GapMismatch(dict):
 # ---------- JSON wire format ----------
 
 def tiling_to_json(tiling: Tiling, gaps: GapSequence) -> dict:
-    """Schema: {"gaps": [...], "interval": [lo, hi], "parts": [[...], ...]},
-    parts sorted by least element."""
+    """Schema: {"gaps": [...], "interval": [lo, hi], "parts": [[...], ...]}.
+
+    The parts are the tiling's own tuples, with no copy per part, in sorted
+    order: by least element, since a part is increasing wherever the package
+    builds one.  json.dumps writes each tuple as a JSON array.
+    """
     return {
         "gaps": list(gaps.gaps),
         "interval": [tiling.lo, tiling.hi],
-        "parts": [list(part) for part in sorted(tiling.parts)],
+        "parts": sorted(tiling.parts),
     }
 
 

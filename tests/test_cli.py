@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import warnings
@@ -13,6 +14,7 @@ from gaptile.blocks3d import BASE_IDS, base_covering, covering_to_json, verify_c
 from gaptile.cli import main
 from gaptile.core import tiling_from_json, verify_tiling
 from gaptile.layers import layer_x1, layer_x2, layer_y1, layer_y2
+from test_golden import GOLDEN
 
 
 def run(capsys, *argv):
@@ -40,6 +42,17 @@ def test_tile_text_mode(capsys):
     assert code == 0
     assert out.startswith("interval [2, 193]")
     assert len(out.strip().splitlines()) == 1 + 48
+
+
+def test_tile_stdout_bytes_pinned(capsys):
+    # the JSON line is tiling_to_json's golden text; --text is pinned whole
+    code, out, _ = run(capsys, "tile", "5", "7", "2080")
+    assert code == 0 and out.endswith("}\n")
+    assert hashlib.sha256(out[:-1].encode()).hexdigest() == GOLDEN[(5, 7, 2080)]
+    code, out, _ = run(capsys, "tile", "5", "7", "2080", "--text")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "90670468ac70aca5da2a6e559f49d2e04de9f4352de9e439b455f71827abce16"
 
 
 def test_tile_below_threshold(capsys):

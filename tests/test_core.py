@@ -1,4 +1,9 @@
+import functools
+import json
 import tracemalloc
+from itertools import compress, count, islice, repeat
+from numbers import Real
+from operator import itemgetter, ne, sub
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,6 +13,8 @@ from gaptile.core import (
     GapSequence, Tiling, Verdict, _part, gap_multiset,
     tiling_from_json, tiling_to_json, verify_tiling,
 )
+from gaptile.oracle import min_interval
+from test_golden import GOLDEN
 
 
 def triple(*gaps):
@@ -270,6 +277,178 @@ class TestVerifyTilingReference:
             assert (v.ok, v.reason, v.witness) == want
 
 
+def reference_verify_tiling(tiling, gaps):
+    """Reference verifier: verify_tiling as it was before the distinct-tuple
+    gap pass, which looked every part's differences up in a table in order,
+    and before bools were strays."""
+    lo, hi = tiling.lo, tiling.hi
+    parts = tiling.parts
+    window = max(0, min(hi - lo + 1, sum(map(len, parts)) + 1))
+    marked = bytearray(window)
+    others: set = set()
+    strays: list = []
+    for part in parts:
+        for x in part:
+            if isinstance(x, int) and 0 <= (i := x - lo) < window:
+                if marked[i]:
+                    return Verdict(False, "disjointness", x)
+                marked[i] = 1
+            elif not isinstance(x, Real):
+                strays.append(x)
+            elif x in others:
+                return Verdict(False, "disjointness", x)
+            else:
+                others.add(x)
+    mismatches = [x for x in others if not (isinstance(x, int) and lo <= x <= hi)]
+    missing = marked.find(0)
+    if missing >= 0:
+        mismatches.append(lo + missing)
+    if mismatches or strays:
+        return Verdict(False, "coverage", min(mismatches) if mismatches else strays[0])
+    want = gaps.gaps
+    k = len(want) + 1
+    j = next(compress(count(), map(ne, map(len, parts), repeat(k))), len(parts))
+    columns = [map(sub, map(itemgetter(i + 1), islice(parts, j)),
+                   map(itemgetter(i), islice(parts, j))) for i in range(k - 1)]
+    mismatch = {}
+
+    def bad_gaps(diffs):
+        if diffs not in mismatch:
+            mismatch[diffs] = tuple(sorted(diffs)) != want
+        return mismatch[diffs]
+
+    bad = next(compress(count(), map(bad_gaps, zip(*columns))), j)
+    if bad < len(parts):
+        return Verdict(False, "gaps", min(parts[bad]))
+    return Verdict(True)
+
+
+@functools.cache
+def valid_tilings():
+    """Accepted tilings with one to six part shapes, by gap sequence."""
+    found = [(tile(*gaps), GapSequence(gaps)) for gaps in [(1, 1, 48), (1, 2, 56)]]
+    for gaps in [(2, 3, 4), (1, 1, 2)]:
+        _, tiling = min_interval(GapSequence(gaps), 40)
+        found.append((tiling, GapSequence(gaps)))
+    found.append((Tiling(-6, 5, tuple((x, x + 2) for x in (-6, -5, -2, -1, 2, 3))),
+                  GapSequence.of(2)))
+    assert all(verify_tiling(*case) for case in found)
+    return tuple(found)
+
+
+TAMPERINGS = ("trade", "split", "duplicate", "foreign", "empty", "regap")
+
+
+@st.composite
+def tampered_tilings(draw):
+    """An accepted tiling with its parts shuffled, then up to four of:
+    two elements traded between parts, the two re-sorted or not; a part
+    split in two, the second piece put first, last or anywhere; a part
+    repeated; an element replaced by a float, a str or None, or an extra
+    part of such elements; the interval emptied (hi = lo - 1); other gaps."""
+    tiling, gaps = draw(st.sampled_from(valid_tilings()))
+    lo, hi = tiling.lo, tiling.hi
+    parts = [list(part) for part in draw(st.permutations(tiling.parts))]
+    for step in draw(st.lists(st.sampled_from(TAMPERINGS), max_size=4)):
+        n = len(parts)
+        if step == "trade" and n >= 2:
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            a = draw(st.integers(0, len(parts[i]) - 1))
+            b = draw(st.integers(0, len(parts[j]) - 1))
+            parts[i][a], parts[j][b] = parts[j][b], parts[i][a]
+            if draw(st.booleans()):
+                for part in (parts[i], parts[j]):
+                    if all(type(x) is int for x in part):
+                        part.sort()
+        elif step == "split" and n:
+            i = draw(st.integers(0, n - 1))
+            if len(parts[i]) >= 2:
+                cut = draw(st.integers(1, len(parts[i]) - 1))
+                piece = parts[i][cut:]
+                del parts[i][cut:]
+                at = draw(st.sampled_from([0, len(parts), draw(st.integers(0, len(parts)))]))
+                parts.insert(at, piece)
+        elif step == "duplicate" and n:
+            parts.insert(draw(st.integers(0, n)), list(parts[draw(st.integers(0, n - 1))]))
+        elif step == "foreign":
+            kind = draw(st.sampled_from([float, str, lambda x: None]))
+            if n and draw(st.booleans()):
+                i = draw(st.integers(0, n - 1))
+                a = draw(st.integers(0, len(parts[i]) - 1))
+                if type(parts[i][a]) is int:
+                    parts[i][a] = kind(parts[i][a])
+            else:
+                extra = draw(st.lists(st.integers(lo - 3, hi + 3), min_size=1, max_size=4))
+                parts.insert(draw(st.integers(0, n)), list(map(kind, extra)))
+        elif step == "empty":
+            hi = lo - 1
+        elif step == "regap":
+            gaps = GapSequence(tuple(draw(st.lists(st.integers(1, 4), min_size=len(gaps.gaps),
+                                                   max_size=len(gaps.gaps)))))
+    return Tiling(lo, hi, tuple(map(tuple, parts))), gaps
+
+
+def verdict_key(v):
+    return v.ok, v.reason, type(v.witness), v.witness
+
+
+class TestVerifyTilingAgainstLookupReference:
+    """verify_tiling gives the reference's verdict, reason and witness on
+    tampered tilings; bools are the one intended difference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tampered_tilings())
+    def test_matches_reference_on_tampered_tilings(self, case):
+        tiling, gaps = case
+        assert verdict_key(verify_tiling(tiling, gaps)) == \
+            verdict_key(reference_verify_tiling(tiling, gaps))
+
+    @pytest.mark.parametrize("tiling,want", [
+        # traded elements: (1, 2, 3, 6) and (4, 5, 7, 8) both go wrong; the first names it
+        (Tiling(1, 8, parts([1, 2, 3, 6], [4, 5, 7, 8])), (False, "gaps", 1)),
+        (Tiling(1, 8, parts([4, 5, 7, 8], [1, 2, 3, 6])), (False, "gaps", 4)),
+        # a part of the wrong length first, last, or after a bad part
+        (Tiling(1, 8, parts([5, 6], [1, 2, 3, 4], [7, 8])), (False, "gaps", 5)),
+        (Tiling(1, 8, parts([1, 2, 3, 4], [5, 6, 7], [8])), (False, "gaps", 5)),
+        (Tiling(1, 12, parts([1, 2, 3, 4], [5, 6, 8, 9], [7, 10], [11, 12])),
+         (False, "gaps", 5)),
+        # a repeated part
+        (Tiling(1, 8, parts([1, 2, 3, 4], [5, 6, 7, 8], [1, 2, 3, 4])),
+         (False, "disjointness", 1)),
+        # float, str and None elements
+        (Tiling(1, 4, ((1.0, 2, 3, 4),)), (False, "coverage", 1.0)),
+        (Tiling(1, 4, ((1, 2, 3, 4), ("5",))), (False, "coverage", "5")),
+        (Tiling(1, 4, ((1, 2, 3, None),)), (False, "coverage", 4)),
+        # the empty interval
+        (Tiling(5, 4, ()), (True, "", None)),
+        (Tiling(5, 4, parts([5, 6, 7, 8])), (False, "coverage", 5)),
+    ])
+    def test_named_cases(self, tiling, want):
+        g = triple(1, 1, 1)
+        got = verify_tiling(tiling, g)
+        assert (got.ok, got.reason, got.witness) == want
+        assert verdict_key(got) == verdict_key(reference_verify_tiling(tiling, g))
+
+    @pytest.mark.parametrize("tiling,witness", [
+        (Tiling(1, 4, ((True, 2, 3, 4),)), 1),
+        (Tiling(0, 3, ((False, True, 2, 3),)), 0),
+    ])
+    def test_bool_is_a_stray(self, tiling, witness):
+        # the reference took True for 1 and accepted; tiling_to_json then wrote
+        # true, which tiling_from_json rejects as malformed
+        g = triple(1, 1, 1)
+        assert reference_verify_tiling(tiling, g)
+        v = verify_tiling(tiling, g)
+        assert (v.ok, v.reason, type(v.witness), v.witness) == (False, "coverage", int, witness)
+        with pytest.raises(ValueError):
+            tiling_from_json(json.loads(json.dumps(tiling_to_json(tiling, g))))
+
+    def test_bool_beside_a_covered_interval(self):
+        # no number is missing or stray, so the bool itself is the witness
+        v = verify_tiling(Tiling(1, 4, ((1, 2, 3, 4), (True,))), triple(1, 1, 1))
+        assert (v.ok, v.reason) == (False, "coverage") and v.witness is True
+
+
 class TestNonNumericElements:
     """An element that is not a number is a stray: a reject, never an
     exception, with the least numeric mismatch as witness, else the first
@@ -338,16 +517,62 @@ _RAW_PART = (st.lists(st.integers(-4, 4), max_size=5)
              | _ELEMENT)
 
 
+def reference_tiling_to_json(tiling, gaps):
+    """Reference rendering: one list per part, as tiling_to_json once built."""
+    return {
+        "gaps": list(gaps.gaps),
+        "interval": [tiling.lo, tiling.hi],
+        "parts": [list(part) for part in sorted(tiling.parts)],
+    }
+
+
+@st.composite
+def unsorted_tilings(draw):
+    """Disjoint parts of mixed lengths in any order, each part increasing or
+    shuffled, and sometimes a part repeated."""
+    values = draw(st.lists(st.integers(-30, 30) | st.integers(-10**20, 10**20),
+                           unique=True, max_size=40))
+    chunks, start = [], 0
+    while start < len(values):
+        size = draw(st.integers(1, 6))
+        chunk = values[start:start + size]
+        chunks.append(chunk if draw(st.booleans()) else sorted(chunk))
+        start += size
+    if chunks and draw(st.booleans()):
+        chunks.append(draw(st.sampled_from(chunks)))
+    lo = draw(st.integers(-40, 40))
+    return Tiling(lo, lo + draw(st.integers(-1, 60)), tuple(map(tuple, chunks)))
+
+
 class TestJson:
     def test_round_trip_sorts_parts(self):
         t = Tiling(1, 8, parts([5, 6, 7, 8], [1, 2, 3, 4]))
         g = triple(1, 1, 1)
         obj = tiling_to_json(t, g)
-        assert obj["parts"] == [[1, 2, 3, 4], [5, 6, 7, 8]]
+        assert obj["parts"] == [(1, 2, 3, 4), (5, 6, 7, 8)]
+        assert json.dumps(obj) == \
+            '{"gaps": [1, 1, 1], "interval": [1, 8], "parts": [[1, 2, 3, 4], [5, 6, 7, 8]]}'
         assert obj["interval"] == [1, 8]
         g2, t2 = tiling_from_json(obj)
         assert g2 == g
         assert verify_tiling(t2, g2)
+
+    @settings(max_examples=300)
+    @given(unsorted_tilings(), st.lists(st.integers(1, 9), min_size=1, max_size=4))
+    def test_bytes_match_list_reference(self, tiling, gaps):
+        g = GapSequence(tuple(gaps))
+        obj = tiling_to_json(tiling, g)
+        assert json.dumps(obj) == json.dumps(reference_tiling_to_json(tiling, g))
+        assert all(type(part) is tuple for part in obj["parts"])
+        # in order of first element, which is the least in an increasing part
+        firsts = [part[0] for part in obj["parts"]]
+        assert firsts == sorted(firsts)
+
+    @pytest.mark.parametrize("gaps", GOLDEN, ids=str)
+    def test_tile_bytes_match_list_reference(self, gaps):
+        tiling, g = tile(*gaps), GapSequence(gaps)
+        assert json.dumps(tiling_to_json(tiling, g)) == \
+            json.dumps(reference_tiling_to_json(tiling, g))
 
     def test_malformed_raises_value_error(self):
         with pytest.raises(ValueError):
