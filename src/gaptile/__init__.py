@@ -15,7 +15,6 @@ from .core import (
     Tiling,
     UnsupportedParameters,
     Verdict,
-    gap_multiset,
     tiling_from_json,
     tiling_to_json,
     verify_tiling,
@@ -39,7 +38,6 @@ from .flatten import flatten_blocks
 from .assemble import (
     PlanParameters,
     build_T,
-    decompose_good,
     plan,
     threshold,
     tile,
@@ -53,9 +51,8 @@ __all__ = [
     "InternalInconsistency", "NiceLayer", "Part", "PlanParameters",
     "SearchBudget", "Tiling", "UnsupportedParameters", "Verdict", "axis_family",
     "base_covering", "build_T", "covering_S3", "covering_S4", "covering_S7",
-    "covering_from_json", "covering_to_json", "decompose_good", "flatten_blocks",
-    "gap_multiset", "layer_x1", "layer_x2", "layer_y1", "layer_y2",
-    "min_interval", "plan", "skew_family", "solve_covering", "solve_interval",
-    "threshold", "tile", "tiling_from_json", "tiling_to_json", "verify_covering",
-    "verify_tiling",
+    "covering_from_json", "covering_to_json", "flatten_blocks", "layer_x1",
+    "layer_x2", "layer_y1", "layer_y2", "min_interval", "plan", "skew_family",
+    "solve_covering", "solve_interval", "threshold", "tile", "tiling_from_json",
+    "tiling_to_json", "verify_covering", "verify_tiling",
 ]

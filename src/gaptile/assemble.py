@@ -16,10 +16,11 @@ applicable regime with the least one from a single table.
 In both regimes gcd(n1, n2) = 1, so by the two-coin bound every s with
 (n1 - 1)(n2 - 1) <= s <= (r - 1 + d)/d is a nonnegative combination
 s = count1 * n1 + count2 * n2; the upper end of that window is exactly the
-injectivity bound of the flattening map.  build_T stacks that combination
-as the list of layer pairs [layer1] * count1 + [layer2] * count2 (both
-layers of a regime share one height l, which plan() checks) and flattening
-it tiles
+injectivity bound of the flattening map.  The split with the least count2
+is closed form: count2 = s * n2^-1 mod n1, and count1 = (s - count2 * n2)
+/ n1 is nonnegative throughout the window.  build_T stacks it as the list
+of layer pairs [layer1] * count1 + [layer2] * count2 (both layers of a
+regime share one height l, which plan() checks) and flattening it tiles
 
     T(s) = union_j (d * {1..s} + (j - 1) * r),    j = 1..l
 
@@ -44,9 +45,8 @@ from .layers import NiceLayer, layer_x1, layer_x2, layer_y1, layer_y2
 @dataclass(frozen=True)
 class PlanParameters:
     """Everything tile() needs once the regime is chosen: its row of the
-    regime table (the strides are the reduced gaps in the small branch), its
-    two (NiceLayer, Covering) layers, their common height, and s_min, the
-    lower end of the good window.
+    regime table, its two (NiceLayer, Covering) layers, built at the reduced
+    gaps (p/d, q/d), and their common height.
     """
 
     p: int
@@ -57,24 +57,21 @@ class PlanParameters:
     n1: int
     n2: int
     height: int
-    s_min: int
     layer1: tuple[NiceLayer, Covering]
     layer2: tuple[NiceLayer, Covering]
-    stride1: int
-    stride2: int
 
 
 def _regime(p: int, q: int) -> tuple:
-    """Of the regimes (branch, d, n1, n2, stride1, stride2, builder1,
-    builder2) that apply to 1 <= p <= q, the one with the least bound; big
-    wins a tie at q = 2p.  Builders are looked up here at call time."""
+    """Of the regimes (branch, d, n1, n2, builder1, builder2) that apply to
+    1 <= p <= q, the one with the least bound; big wins a tie at q = 2p.
+    Builders are looked up here at call time."""
     regimes = []
     if q >= 2 * p:
-        regimes.append(("big", 1, 4 * q, 4 * q + 1, p, q, layer_x1, layer_x2))
+        regimes.append(("big", 1, 4 * q, 4 * q + 1, layer_x1, layer_x2))
     if q <= 2 * p:
         d = math.gcd(p, q)
         regimes.append(("small", d, (5 * p + 4 * q) // d, (4 * p + 3 * q) // d,
-                        p // d, q // d, layer_y1, layer_y2))
+                        layer_y1, layer_y2))
     return min(regimes, key=_bound)
 
 
@@ -93,22 +90,6 @@ def threshold(p: int, q: int) -> int:
     return _bound(_regime(p, q))
 
 
-def decompose_good(s: int, n1: int, n2: int) -> tuple[int, int]:
-    """Write s = count1 * n1 + count2 * n2 with nonnegative counts and the
-    smallest possible count2.
-
-    n1 and n2 must be coprime; any s at or above (n1 - 1)(n2 - 1) is
-    representable, smaller s may raise ValueError.
-    """
-    if n1 < 1 or n2 < 1 or math.gcd(n1, n2) != 1:
-        raise ValueError(f"layer sizes must be coprime positive integers, got {n1}, {n2}")
-    for count2 in range(n1):
-        rest = s - count2 * n2
-        if rest >= 0 and rest % n1 == 0:
-            return rest // n1, count2
-    raise ValueError(f"{s} is not a nonnegative combination of {n1} and {n2}")
-
-
 def plan(p: int, q: int, r: int) -> PlanParameters:
     """Choose the regime for gaps (p, q, r) and prebuild its two layers.
 
@@ -124,8 +105,8 @@ def plan(p: int, q: int, r: int) -> PlanParameters:
         raise UnsupportedParameters(
             f"r={r} is below the guaranteed threshold {r0} for gaps ({p}, {q})",
             threshold=r0)
-    branch, d, n1, n2, stride1, stride2, build1, build2 = regime
-    layer1, layer2 = build1(stride1, stride2), build2(stride1, stride2)
+    branch, d, n1, n2, build1, build2 = regime
+    layer1, layer2 = build1(p // d, q // d), build2(p // d, q // d)
     if math.gcd(n1, n2) != 1 or n1 != layer1[0].size or n2 != layer2[0].size:
         raise InternalInconsistency(f"layer sizes {n1}, {n2} violate the plan's assumptions")
     height = layer1[1].height
@@ -134,23 +115,26 @@ def plan(p: int, q: int, r: int) -> PlanParameters:
             f"layer heights {height}, {layer2[1].height} differ; a stack needs one height")
     return PlanParameters(
         p=p, q=q, r=r, branch=branch, d=d, n1=n1, n2=n2, height=height,
-        s_min=(n1 - 1) * (n2 - 1), layer1=layer1, layer2=layer2,
-        stride1=stride1, stride2=stride2)
+        layer1=layer1, layer2=layer2)
 
 
 def build_T(params: PlanParameters, s: int, shift: int) -> list[Part]:
     """Parts tiling T(s) + shift = union_j (d * {1..s} + (j-1) * r + shift).
 
-    s must lie in the good window [s_min, (r - 1 + d)/d]; the upper end is
-    the flattener's injectivity bound.  The stack is count1 copies of
-    layer1 then count2 of layer2, from decompose_good(s, n1, n2).
+    s must lie in the good window [(n1 - 1)(n2 - 1), (r - 1 + d)/d]; the
+    upper end is the flattener's injectivity bound.  The stack is count1
+    copies of layer1 then count2 of layer2, the split of s with the least
+    count2: count2 = s * n2^-1 mod n1 and count1 = (s - count2 * n2) / n1.
     """
-    if not (params.s_min <= s and params.d * s <= params.r - 1 + params.d):
+    d, n1, n2 = params.d, params.n1, params.n2
+    s_min = (n1 - 1) * (n2 - 1)
+    if not (s_min <= s and d * s <= params.r - 1 + d):
         raise ValueError(
-            f"s={s} outside the good window [{params.s_min}, (r-1+d)/d] for r={params.r}")
-    count1, count2 = decompose_good(s, params.n1, params.n2)
+            f"s={s} outside the good window [{s_min}, (r-1+d)/d] for r={params.r}")
+    count2 = s * pow(n2, -1, n1) % n1
+    count1 = (s - count2 * n2) // n1
     return flatten_blocks([params.layer1] * count1 + [params.layer2] * count2,
-                          params.d, params.r, params.stride1, params.stride2, shift)
+                          d, params.r, params.p // d, params.q // d, shift)
 
 
 def tile(p: int, q: int, r: int) -> Tiling:

@@ -49,7 +49,7 @@ def _cmd_tile(args) -> int:
     if args.text:
         print(f"interval [{tiling.lo}, {tiling.hi}]  gaps {tuple(gaps.gaps)}  "
               f"parts {len(tiling.parts)}")
-        for part in sorted(tiling.parts):
+        for part in tiling.parts:
             print(" ".join(map(str, part)))
     else:
         print(json.dumps(tiling_to_json(tiling, gaps)))

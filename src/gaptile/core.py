@@ -77,16 +77,6 @@ class GapSequence:
 Part = tuple[int, ...]
 
 
-def gap_multiset(part: Part) -> tuple[int, ...]:
-    """Consecutive differences of a part, sorted ascending.
-
-    A part with fewer than two elements has no gaps and is rejected.
-    """
-    if len(part) < 2:
-        raise ValueError("gap multiset needs a part with at least 2 elements")
-    return tuple(sorted(map(sub, part[1:], part)))
-
-
 @dataclass(frozen=True)
 class Tiling:
     """A claimed partition of the interval [lo, hi] into parts.
@@ -232,12 +222,19 @@ def tiling_to_json(tiling: Tiling, gaps: GapSequence) -> dict:
 
     The parts are the tiling's own tuples, with no copy per part, in sorted
     order: by least element, since a part is increasing wherever the package
-    builds one.  json.dumps writes each tuple as a JSON array.
+    builds one.  json.dumps writes each tuple as a JSON array.  Parts that
+    cannot be ordered, such as (1, 2) beside ("a", 3), raise ValueError.
+    Elements are integers, as in any tiling verify_tiling accepts; a float
+    element such as NaN is outside this contract and is written as it is.
     """
+    try:
+        parts = sorted(tiling.parts)
+    except TypeError as exc:
+        raise ValueError(f"tiling parts cannot be ordered: {exc}") from None
     return {
         "gaps": list(gaps.gaps),
         "interval": [tiling.lo, tiling.hi],
-        "parts": sorted(tiling.parts),
+        "parts": parts,
     }
 
 

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaptile import assemble
-from gaptile.assemble import build_T, decompose_good, plan, threshold, tile
+from gaptile.assemble import build_T, plan, threshold, tile
 from gaptile.blocks3d import Covering
 from gaptile.core import GapSequence, InternalInconsistency, UnsupportedParameters, \
     verify_tiling
+from gaptile.flatten import flatten_blocks
 from gaptile.layers import layer_x1, layer_x2, layer_y1, layer_y2
 
 
@@ -20,6 +21,12 @@ def stacked_twice(cov):
 def brute_decompositions(s, n1, n2):
     return {(a, b) for b in range(s // n2 + 1) for a in [(s - b * n2) // n1]
             if a * n1 + b * n2 == s}
+
+
+def least_count2_split(s, n1, n2):
+    """Reference: the split s = count1 * n1 + count2 * n2 with nonnegative
+    counts and the least count2, by brute force."""
+    return min(brute_decompositions(s, n1, n2), key=lambda split: split[1])
 
 
 class TestThreshold:
@@ -78,49 +85,21 @@ class TestGapsMustBePositiveIntegers:
             build(*gaps)
 
 
-class TestDecomposeGood:
-    def test_examples(self):
-        assert decompose_good(48, 9, 7) == (3, 3)
-        assert decompose_good(56, 8, 9) == (7, 0)
-        assert decompose_good(2, 2, 3) == (1, 0)
-
-    def test_not_representable(self):
-        with pytest.raises(ValueError):
-            decompose_good(1, 2, 3)
-
-    def test_requires_coprime(self):
-        with pytest.raises(ValueError):
-            decompose_good(12, 4, 6)
-
-    @given(st.integers(2, 12), st.integers(2, 12), st.integers(0, 200))
-    def test_agrees_with_brute_force(self, n1, n2, s):
-        if math.gcd(n1, n2) != 1:
-            return
-        all_reps = brute_decompositions(s, n1, n2)
-        if s >= (n1 - 1) * (n2 - 1):
-            assert all_reps, "coin bound guarantees a representation"
-        if not all_reps:
-            with pytest.raises(ValueError):
-                decompose_good(s, n1, n2)
-        else:
-            got = decompose_good(s, n1, n2)
-            assert got in all_reps
-            assert got[1] == min(b for _, b in all_reps)
-
-
 class TestPlan:
     def test_wide_branch(self):
         params = plan(1, 4, 240)
         assert params.branch == "big"
         assert (params.d, params.n1, params.n2) == (1, 16, 17)
         assert params.height == 20
-        assert params.s_min == 15 * 16
+        assert (params.n1 - 1) * (params.n2 - 1) == 15 * 16 == threshold(1, 4)
+        assert params.layer1[0].a == 4  # width q at strides (p, q)
 
     def test_near_branch_reduces_by_gcd(self):
         params = plan(2, 4, 216)
         assert params.branch == "small"
         assert (params.d, params.n1, params.n2) == (2, 13, 10)
-        assert (params.stride1, params.stride2) == (1, 2)
+        assert (params.p // params.d, params.q // params.d) == (1, 2)
+        assert params.layer1[0].a == params.layer2[0].a == 3  # width p/d + q/d
         assert params.height == 4
 
     def test_boundary_prefers_smaller_threshold(self):
@@ -170,9 +149,9 @@ def two_function_reference(p, q):
         layer1, layer2 = layer_y1(stride1, stride2), layer_y2(stride1, stride2)
     n1, n2 = r1 // d, r2 // d
     return min(bounds), {
-        "branch": branch, "d": d, "n1": n1, "n2": n2, "stride1": stride1,
-        "stride2": stride2, "height": math.lcm(layer1[1].height, layer2[1].height),
-        "s_min": (n1 - 1) * (n2 - 1)}
+        "branch": branch, "d": d, "n1": n1, "n2": n2,
+        "height": math.lcm(layer1[1].height, layer2[1].height),
+        "layer1": layer1, "layer2": layer2}
 
 
 def check_against_reference(p, q):
@@ -217,6 +196,26 @@ class TestBuildT:
             build_T(params, 47, 0)  # below (n1-1)(n2-1)
         with pytest.raises(ValueError):
             build_T(params, 49, 0)  # above (r - 1 + d) / d
+
+    @pytest.mark.parametrize("p,q", [
+        (1, 1), (2, 3), (1, 2), (1, 3), (2, 5),  # d = 1, both regimes
+        (2, 2), (2, 4), (3, 6), (12, 18),        # small regime, d > 1
+    ])
+    def test_matches_least_count2_reference(self, p, q):
+        # n1 + 1 consecutive s at each end of the window meet every residue
+        # of count2 mod n1; below n1 * n2 the split is unique, above
+        # s_min + n1 * n2 there are at least two, and the least count2 wins
+        params = plan(p, q, threshold(p, q))
+        d, n1, n2 = params.d, params.n1, params.n2
+        s_min = (n1 - 1) * (n2 - 1)
+        s_max = s_min + n1 * n2 + n1
+        r = d * s_max
+        params = plan(p, q, r)
+        for s in [*range(s_min, s_min + n1 + 1), *range(s_max - n1, s_max + 1)]:
+            count1, count2 = least_count2_split(s, n1, n2)
+            stack = [params.layer1] * count1 + [params.layer2] * count2
+            assert build_T(params, s, s % 3) == \
+                flatten_blocks(stack, d, r, p // d, q // d, s % 3)
 
     def test_stack_slice_size_is_s(self):
         params = plan(1, 1, 50)

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gaptile.assemble import plan, threshold, tile
 from gaptile.core import (
-    GapSequence, Tiling, Verdict, _part, gap_multiset,
+    GapSequence, Tiling, Verdict, _part,
     tiling_from_json, tiling_to_json, verify_tiling,
 )
 from gaptile.oracle import min_interval
@@ -23,6 +23,11 @@ def triple(*gaps):
 
 def parts(*element_lists):
     return tuple(tuple(xs) for xs in element_lists)
+
+
+def gap_multiset(part):
+    """Reference: the consecutive differences of a part, sorted ascending."""
+    return tuple(sorted(map(sub, part[1:], part)))
 
 
 class TestGapSequence:
@@ -43,22 +48,6 @@ class TestGapSequence:
         g = GapSequence.of(1, 2, 3)
         assert g.set_size == 4
         assert g.span == 6
-
-
-class TestGapMultiset:
-    def test_cumulative_offsets(self):
-        # {0, p, p+q, p+q+r} must give back {p, q, r}
-        for p, q, r in [(1, 2, 3), (2, 2, 5), (4, 1, 1)]:
-            part = (0, p, p + q, p + q + r)
-            assert gap_multiset(part) == tuple(sorted((p, q, r)))
-
-    def test_examples(self):
-        assert gap_multiset((1, 2, 4, 7)) == (1, 2, 3)
-        assert gap_multiset((3, 5, 6)) == (1, 2)
-
-    def test_short_part_rejected(self):
-        with pytest.raises(ValueError):
-            gap_multiset((5,))
 
 
 class TestParts:
@@ -567,6 +556,11 @@ class TestJson:
         # in order of first element, which is the least in an increasing part
         firsts = [part[0] for part in obj["parts"]]
         assert firsts == sorted(firsts)
+
+    def test_unorderable_parts_raise_value_error(self):
+        t = Tiling(1, 4, ((1, 2), ("a", 3)))
+        with pytest.raises(ValueError, match="cannot be ordered"):
+            tiling_to_json(t, GapSequence.of(1))
 
     @pytest.mark.parametrize("gaps", GOLDEN, ids=str)
     def test_tile_bytes_match_list_reference(self, gaps):

@@ -3,11 +3,13 @@ from typing import NamedTuple
 
 import pytest
 
-from gaptile.assemble import decompose_good, plan
+from gaptile.assemble import plan
 from gaptile.blocks3d import Block, Covering
-from gaptile.core import InternalInconsistency, gap_multiset
+from gaptile.core import InternalInconsistency
 from gaptile.flatten import flatten_blocks
 from gaptile.layers import NiceLayer, layer_x1, layer_x2, layer_y1, layer_y2
+from test_assemble import least_count2_split
+from test_core import gap_multiset
 
 
 # ---------- reference: the per-point flattening map ----------
@@ -212,9 +214,9 @@ class TestFlattenBlocks:
 
 def _stack_12_18():
     params = plan(12, 18, 2016)
-    count1, count2 = decompose_good(2016 // params.d, params.n1, params.n2)
+    count1, count2 = least_count2_split(2016 // params.d, params.n1, params.n2)
     stack = Stack([params.layer1] * count1 + [params.layer2] * count2, params.d)
-    return stack, 2016, params.stride1, params.stride2
+    return stack, 2016, params.p // params.d, params.q // params.d
 
 
 REPEATED_STACKS = [

@@ -6,10 +6,11 @@ import pytest
 
 from gaptile import oracle
 from gaptile.blocks3d import axis_family, base_covering, skew_family, verify_covering
-from gaptile.core import GapSequence, InternalInconsistency, Tiling, gap_multiset, verify_tiling
+from gaptile.core import GapSequence, InternalInconsistency, Tiling, verify_tiling
 from gaptile.oracle import (
     BUDGET_EXHAUSTED, SearchBudget, min_interval, solve_covering, solve_interval,
 )
+from test_core import gap_multiset
 
 
 def brute_interval_tilable(gaps, n):
