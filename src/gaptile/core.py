@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from numbers import Real
-from operator import eq, itemgetter, ne, sub
+from operator import eq, itemgetter, lt, ne, sub
 from typing import Any
 
 
@@ -141,26 +141,60 @@ def verify_tiling(tiling: Tiling, gaps: GapSequence) -> Verdict:
     order.
 
     An element is an integer when its type is int, so a bool is not one.
-    Integers of [lo, hi] are marked in a bytearray indexed by x - lo; every
-    other real number goes into a set, and an element that is not an
-    integer counts as stray.  An element that is not a real number, or is
-    a bool, is never subtracted, compared or hashed: it is only kept, in
-    the order met, as a stray.  The bytearray spans at most (number of
-    elements + 1) integers, so memory follows the input, not the interval:
-    an interval longer than that cannot be covered, and by pigeonhole its
-    smallest missing integer lies inside the bytearray.
+    When the parts hold exactly as many elements as [lo, hi] has integers,
+    one store-only pass marks each in a bytearray indexed by x - lo and
+    stops at the first element that is not an integer of [lo, hi], so a
+    negative index never wraps to the end.  If every slot is then marked,
+    the parts are disjoint and cover [lo, hi] by pigeonhole, and each
+    integer has been read once.  Every other candidate is a reject, and
+    its elements are walked again only to name the witness: integers of
+    [lo, hi] are marked in a bytearray, every other real number goes into
+    a set, and an element that is not an integer counts as stray.  An
+    element that is not a real number, or is a bool, is never subtracted,
+    compared or hashed: it is only kept, in the order met, as a stray.
+    Each bytearray spans at most (number of elements + 1) integers, so
+    memory follows the input, not the interval: an interval longer than
+    that cannot be covered, and by pigeonhole its smallest missing integer
+    lies inside the bytearray.
 
     The gaps of a part are its tuple of consecutive differences, taken
-    column by column over the parts.  When every part has the prescribed
-    length, the distinct tuples are collected in a set and each is sorted
-    once: a tiling repeats a few shapes many times.  Only when a part of
-    another length or a distinct tuple with the wrong gaps shows up are
-    the parts searched in order, through a table that sorts each distinct
-    tuple once, for the first offending part.
+    column by column over the parts up to the first of another length.
+    One pass in order looks each tuple up in a table that sorts each
+    distinct tuple once (a tiling repeats a few shapes many times) and
+    stops at the first part with the wrong gaps, else at the first part
+    of another length.
     """
     lo, hi = tiling.lo, tiling.hi
     parts = tiling.parts
-    window = max(0, min(hi - lo + 1, sum(map(len, parts)) + 1))
+    size = sum(map(len, parts))
+    if size != max(0, hi - lo + 1) or not _exact_cover(parts, lo, size):
+        return _cover_reject(parts, lo, hi, size)
+    want = gaps.gaps
+    k = len(want) + 1
+    # parts[:j] is parts itself, not a copy, when every part has k elements
+    j = next(compress(count(), map(ne, map(len, parts), repeat(k))), len(parts))
+    bad = next(compress(count(), map(_GapMismatch(want).__getitem__,
+                                     _differences(parts[:j], k))), j)
+    if bad == len(parts):
+        return Verdict(True)
+    return Verdict(False, "gaps", min(parts[bad]))
+
+
+def _exact_cover(parts: tuple[Part, ...], lo: int, n: int) -> bool:
+    """Whether the parts' n elements are the n integers lo .. lo + n - 1:
+    one store-only marking pass, every slot marked means no repeat."""
+    marked = bytearray(n)
+    for x in chain.from_iterable(parts):
+        if type(x) is not int or not 0 <= (i := x - lo) < n:
+            return False
+        marked[i] = 1
+    return marked.find(0) < 0
+
+
+def _cover_reject(parts: tuple[Part, ...], lo: int, hi: int, size: int) -> Verdict:
+    """The disjointness or coverage reject of parts, holding size elements
+    in all, that do not partition [lo, hi]."""
+    window = max(0, min(hi - lo + 1, size + 1))
     marked = bytearray(window)
     others: set = set()
     strays: list = []
@@ -180,19 +214,8 @@ def verify_tiling(tiling: Tiling, gaps: GapSequence) -> Verdict:
     missing = marked.find(0)
     if missing >= 0:
         mismatches.append(lo + missing)
-    if mismatches or strays:
-        return Verdict(False, "coverage", min(mismatches) if mismatches else strays[0])
-    want = gaps.gaps
-    k = len(want) + 1
-    if set(map(len, parts)) <= {k} and all(
-            tuple(sorted(diffs)) == want for diffs in set(_differences(parts, k))):
-        return Verdict(True)
-    # some part has another length or the wrong gaps: the first such part is
-    # the first of another length, unless a part before it has the wrong gaps
-    j = next(compress(count(), map(ne, map(len, parts), repeat(k))), len(parts))
-    bad = next(compress(count(), map(_GapMismatch(want).__getitem__,
-                                     _differences(parts[:j], k))), j)
-    return Verdict(False, "gaps", min(parts[bad]))
+    # no repeat was met, so some integer is missing or some element stray
+    return Verdict(False, "coverage", min(mismatches) if mismatches else strays[0])
 
 
 def _differences(parts: tuple[Part, ...], k: int):
@@ -244,6 +267,8 @@ def tiling_from_json(obj) -> tuple[GapSequence, Tiling]:
     The parts are checked in bulk (see _parts) and read one by one with
     _part only when a bulk check fails, so a valid document costs a few
     builtin passes over its parts and an invalid one gets _part's error.
+    Parts of one length that are already increasing, as tiling_to_json
+    writes them, are taken as they are, without sorting.
     """
     if not isinstance(obj, dict):
         raise ValueError("tiling JSON must be an object")
@@ -270,14 +295,24 @@ def _parts(raw_parts: list) -> tuple[Part, ...]:
     them, with _part's rules checked over the whole list at once.
 
     Every part a list or tuple, every element an int (type is int, so bool
-    fails), no part empty, no part with a repeated element: each is one
-    pass of builtins over the list, not a Python call per part.  When any
-    of them fails, the parts are read again one by one with _part, which
-    raises the same ValueError, for the same first part, as it always has.
+    fails), no part empty: each is one pass of builtins over the list, not
+    a Python call per part.  When every part then has the same length k
+    and each of the k - 1 pairs of neighbouring columns is strictly
+    increasing, as in any document tiling_to_json writes, the parts are
+    already what _part returns and are read without sorting.  Otherwise
+    each part is sorted and a part with a repeated element is looked for
+    in bulk.  When any of these checks fails, the parts are read again one
+    by one with _part, which raises the same ValueError, for the same first
+    part, as it always has.
     """
     if (set(map(type, raw_parts)) <= {list, tuple}
             and set(map(type, chain.from_iterable(raw_parts))) <= {int}
             and all(raw_parts)):
+        lengths = set(map(len, raw_parts))
+        if len(lengths) == 1 and all(
+                all(map(lt, map(itemgetter(i), raw_parts), map(itemgetter(i + 1), raw_parts)))
+                for i in range(lengths.pop() - 1)):
+            return tuple(map(tuple, raw_parts))
         parts = tuple(map(tuple, map(sorted, raw_parts)))
         if not any(map(ne, map(len, map(set, parts)), map(len, parts))):
             return parts

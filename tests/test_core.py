@@ -1,6 +1,7 @@
 import functools
 import json
 import tracemalloc
+from enum import IntEnum
 from itertools import compress, count, islice, repeat
 from numbers import Real
 from operator import itemgetter, ne, sub
@@ -8,6 +9,7 @@ from operator import itemgetter, ne, sub
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import gaptile.core
 from gaptile.assemble import plan, threshold, tile
 from gaptile.core import (
     GapSequence, Tiling, Verdict, _part,
@@ -312,6 +314,42 @@ def reference_verify_tiling(tiling, gaps):
     return Verdict(True)
 
 
+class TestGapPass:
+    """The gaps of every part are taken once, in order, on an accept and on
+    a gaps reject alike."""
+
+    @pytest.fixture
+    def differences_calls(self, monkeypatch):
+        calls = []
+        original = gaptile.core._differences
+
+        def counted(parts, k):
+            calls.append(len(parts))
+            return original(parts, k)
+
+        monkeypatch.setattr(gaptile.core, "_differences", counted)
+        return calls
+
+    def test_accept_reads_the_gaps_once(self, differences_calls):
+        tiling = tile(5, 7, 2080)
+        differences_calls.clear()
+        assert verify_tiling(tiling, GapSequence.of(5, 7, 2080))
+        assert differences_calls == [len(tiling.parts)]
+
+    def test_gaps_reject_reads_the_gaps_once(self, differences_calls):
+        tiling = tile(5, 7, 2080)
+        swapped = [list(part) for part in tiling.parts]
+        i, j = 10, len(swapped) - 10
+        swapped[i][1], swapped[j][2] = swapped[j][2], swapped[i][1]
+        traded = Tiling(tiling.lo, tiling.hi, tuple(tuple(sorted(part)) for part in swapped))
+        g = GapSequence.of(5, 7, 2080)
+        differences_calls.clear()
+        v = verify_tiling(traded, g)
+        assert (v.ok, v.reason, v.witness) == (False, "gaps", min(traded.parts[i]))
+        assert differences_calls == [len(traded.parts)]
+        assert verdict_key(v) == verdict_key(reference_verify_tiling(traded, g))
+
+
 @functools.cache
 def valid_tilings():
     """Accepted tilings with one to six part shapes, by gap sequence."""
@@ -383,7 +421,8 @@ def verdict_key(v):
 
 class TestVerifyTilingAgainstLookupReference:
     """verify_tiling gives the reference's verdict, reason and witness on
-    tampered tilings; bools are the one intended difference."""
+    tampered tilings; bools and other int subclasses, which the reference
+    takes for the ints they equal, are the one intended difference."""
 
     @settings(max_examples=300, deadline=None)
     @given(tampered_tilings())
@@ -410,7 +449,14 @@ class TestVerifyTilingAgainstLookupReference:
         (Tiling(1, 4, ((1, 2, 3, None),)), (False, "coverage", 4)),
         # the empty interval
         (Tiling(5, 4, ()), (True, "", None)),
+        (Tiling(5, 2, ()), (True, "", None)),
         (Tiling(5, 4, parts([5, 6, 7, 8])), (False, "coverage", 5)),
+        # as many elements as the interval has integers, so the exact-cover
+        # pass runs: the offset -1 of 0 would wrap to the last slot
+        (Tiling(1, 4, ((0, 1, 2, 3),)), (False, "coverage", 0)),
+        # 4 twice and 8 missing, the repeat in the first part or the last
+        (Tiling(1, 8, parts([1, 2, 3, 4], [4, 5, 6, 7])), (False, "disjointness", 4)),
+        (Tiling(1, 8, parts([5, 6, 7, 8], [1, 2, 3, 5])), (False, "disjointness", 5)),
     ])
     def test_named_cases(self, tiling, want):
         g = triple(1, 1, 1)
@@ -431,6 +477,17 @@ class TestVerifyTilingAgainstLookupReference:
         assert (v.ok, v.reason, type(v.witness), v.witness) == (False, "coverage", int, witness)
         with pytest.raises(ValueError):
             tiling_from_json(json.loads(json.dumps(tiling_to_json(tiling, g))))
+
+    def test_int_subclass_is_not_an_integer(self):
+        # like a bool, an IntEnum member is no integer, though the reference
+        # takes ONE for 1 and accepts; unlike a bool it is a number, and the
+        # least mismatch
+        class Small(IntEnum):
+            ONE = 1
+
+        tiling, g = Tiling(1, 4, ((Small.ONE, 2, 3, 4),)), triple(1, 1, 1)
+        assert reference_verify_tiling(tiling, g)
+        assert verdict_key(verify_tiling(tiling, g)) == (False, "coverage", Small, Small.ONE)
 
     def test_bool_beside_a_covered_interval(self):
         # no number is missing or stray, so the bool itself is the witness
@@ -506,6 +563,28 @@ _RAW_PART = (st.lists(st.integers(-4, 4), max_size=5)
              | _ELEMENT)
 
 
+@st.composite
+def _increasing_parts(draw):
+    """Parts as tiling_to_json writes them (lists of one length, each
+    strictly increasing), sometimes with one part changed: a neighbouring
+    pair swapped or made equal, an element dropped, or one made a bool."""
+    k = draw(st.integers(1, 5))
+    raw = draw(st.lists(st.lists(st.integers(-20, 20), min_size=k, max_size=k, unique=True)
+                        .map(sorted), min_size=1, max_size=6))
+    i = draw(st.integers(0, len(raw) - 1))
+    part, a = raw[i], draw(st.integers(0, k - 1))
+    change = draw(st.sampled_from(["none", "swap", "repeat", "drop", "bool"]))
+    if change == "swap" and a + 1 < k:
+        part[a], part[a + 1] = part[a + 1], part[a]
+    elif change == "repeat" and a + 1 < k:
+        part[a + 1] = part[a]
+    elif change == "drop":
+        del part[a]
+    elif change == "bool":
+        part[a] = draw(st.booleans())
+    return raw
+
+
 def reference_tiling_to_json(tiling, gaps):
     """Reference rendering: one list per part, as tiling_to_json once built."""
     return {
@@ -577,8 +656,13 @@ class TestJson:
             tiling_from_json([1, 2, 3])
 
     @settings(max_examples=300)
-    @given(st.lists(_RAW_PART, max_size=6))
+    @given(st.lists(_RAW_PART, max_size=6) | _increasing_parts())
     @example([[4, 3, 2, 1], [1, 2, 3, 4]])
+    @example([[1, 2, 3], (4, 5, 6), [-9, 0, 10**30]])
+    @example([[1, 2, 3], [6, 4, 5], [7, 8, 9]])
+    @example([[0, 4, 5, 6], [1, 2, 2, 3]])
+    @example([[1, 2], [3, 4, 5], [6]])
+    @example([[0, True, 2], [3, 4, 5]])
     @example([[1, 2], [3, 3]])
     @example([[1, 2], [True, 3]])
     @example([(1, 2), []])
