@@ -33,6 +33,7 @@ returns after running the verifier over it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .blocks3d import Covering
@@ -141,10 +142,16 @@ def tile(p: int, q: int, r: int) -> Tiling:
     """A verified tiling of [d + 1, l*r + d] by parts with gaps {p, q, r}.
 
     p and q are sorted ascending; r always plays the third gap.  Requires
-    r >= threshold(p, q), else UnsupportedParameters.  The result has passed
-    verify_tiling; a failure there is an InternalInconsistency.
+    r >= threshold(p, q), else UnsupportedParameters, which is also raised
+    when the interval's l*r integers are more than sys.maxsize, the most any
+    list can index.  The result has passed verify_tiling; a failure there is
+    an InternalInconsistency.
     """
     params = plan(p, q, r)
+    if params.height * r > sys.maxsize:
+        raise UnsupportedParameters(
+            f"the interval of {params.height} * {r} integers is longer than "
+            f"sys.maxsize = {sys.maxsize}, the most a list can index")
     s, r_rem = divmod(r, params.d)
     parts: list[Part] = []
     for i in range(1, params.d + 1):

@@ -7,6 +7,8 @@ Exit codes: 0 success or accept, 2 unsupported parameters or reject,
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import json
 import sys
 
@@ -56,6 +58,34 @@ def _cmd_tile(args) -> int:
     return 0
 
 
+def _collector_paused(command):
+    """Run command with the cyclic garbage collector paused, and leave the
+    collector as it was found on every way out.
+
+    A verifier reads a JSON document into lists and dicts, builds tuples and
+    frozensets from them, and marks what it has seen in a bytearray or a
+    set.  None of this holds a reference cycle, so reference counting frees
+    all of it once the command returns, and the collector's passes only walk
+    the live document: about a quarter of a `gaptile verify`.  The pause
+    covers the whole command, not just the read, so nothing the command
+    built is alive when the collector resumes.  Only the two verifiers are
+    paused: their memory is bounded by the document they read, whereas
+    `tile` spends about 2 % of its time collecting and the oracle's searches
+    are bounded by no document.
+    """
+    @functools.wraps(command)
+    def paused(args) -> int:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return command(args)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
+
+
+@_collector_paused
 def _cmd_verify(args) -> int:
     try:
         gaps, tiling = tiling_from_json(_read_json(args.file))
@@ -67,6 +97,7 @@ def _cmd_verify(args) -> int:
     return 0 if verdict else 2
 
 
+@_collector_paused
 def _cmd_verify_covering(args) -> int:
     try:
         covering = covering_from_json(_read_json(args.file))

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -249,6 +250,20 @@ class TestTile:
     def test_below_threshold_raises(self):
         with pytest.raises(UnsupportedParameters):
             tile(1, 1, 47)
+
+    def test_interval_longer_than_an_index_is_unsupported(self):
+        with pytest.raises(UnsupportedParameters, match="sys.maxsize"):
+            tile(1, 2, 10**22)
+        with pytest.raises(UnsupportedParameters):
+            tile(1, 2, sys.maxsize // 20 + 1)  # l = 20
+
+    def test_index_bound_is_inclusive(self, monkeypatch):
+        # tile(1, 2, 56) holds exactly 1120 integers
+        monkeypatch.setattr(sys, "maxsize", 1120)
+        assert tile(1, 2, 56).length == 1120
+        monkeypatch.setattr(sys, "maxsize", 1119)
+        with pytest.raises(UnsupportedParameters):
+            tile(1, 2, 56)
 
     def test_gap_argument_order_irrelevant_for_p_q(self):
         assert tile(2, 1, 56) == tile(1, 2, 56)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import hashlib
@@ -9,10 +10,12 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gaptile import cli
+from gaptile.assemble import tile
 from gaptile.blocks3d import BASE_IDS, base_covering, covering_to_json, verify_covering, \
     covering_from_json
 from gaptile.cli import main
-from gaptile.core import tiling_from_json, verify_tiling
+from gaptile.core import GapSequence, tiling_from_json, tiling_to_json, verify_tiling
 from gaptile.layers import layer_x1, layer_x2, layer_y1, layer_y2
 from test_golden import GOLDEN
 
@@ -59,6 +62,13 @@ def test_tile_below_threshold(capsys):
     code, _, err = run(capsys, "tile", "1", "2", "55")
     assert code == 2
     assert "56" in err
+
+
+def test_tile_interval_longer_than_an_index_exits_2(capsys):
+    code, out, err = run(capsys, "tile", "1", "2", "10000000000000000000000")
+    assert (code, out) == (2, "")
+    assert err.startswith("unsupported: ")
+    assert "Traceback" not in err
 
 
 def test_tile_sort_gaps(capsys):
@@ -150,6 +160,91 @@ def test_read_json_closes_its_file(tmp_path, capsys):
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
+def _collections_started(command, path):
+    """The garbage collections that start while command reads path, with
+    the collector enabled; the command is called directly, since argparse
+    leaves cyclic objects of its own behind."""
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    enabled = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = command(argparse.Namespace(file=str(path)))
+    finally:
+        gc.callbacks.remove(record)
+        if not enabled:
+            gc.disable()
+    return code, out.getvalue(), starts
+
+
+def test_verifiers_run_no_collection(tmp_path):
+    # unpaused, verify starts 5 collections here and verify-covering 98
+    tiling = tmp_path / "t.json"
+    tiling.write_text(json.dumps(tiling_to_json(tile(5, 7, 2080), GapSequence((5, 7, 2080)))))
+    covering = tmp_path / "c.json"
+    covering.write_text(json.dumps(covering_to_json(layer_x1(1, 300)[1])))
+    assert _collections_started(cli._cmd_verify, tiling) == (0, "accept\n", [])
+    assert _collections_started(cli._cmd_verify_covering, covering) == (0, "accept\n", [])
+
+
+_S1 = covering_to_json(base_covering("S1"))
+_VERIFIER_INPUTS = {
+    "verify": {
+        "accept": {"gaps": [1, 1, 1], "interval": [1, 8], "parts": [[1, 2, 3, 4], [5, 6, 7, 8]]},
+        "disjointness": {"gaps": [1, 1, 1], "interval": [1, 8],
+                         "parts": [[1, 2, 3, 4], [1, 2, 3, 4]]},
+        "coverage": {"gaps": [1, 1, 1], "interval": [1, 8], "parts": [[1, 2, 3, 4]]},
+        "gaps": {"gaps": [1, 1, 1], "interval": [1, 8], "parts": [[1, 2, 3, 5], [4, 6, 7, 8]]},
+    },
+    "verify-covering": {
+        "accept": _S1,
+        "block": dict(_S1, blocks=[[[0, 0, 0], [5, 5, 5], [9, 9, 9], [1, 2, 3]]] + _S1["blocks"]),
+        "overlap": dict(_S1, blocks=_S1["blocks"] + _S1["blocks"][:1]),
+        "coverage": dict(_S1, blocks=_S1["blocks"][1:]),
+    },
+}
+_COMMANDS = {"verify": cli._cmd_verify, "verify-covering": cli._cmd_verify_covering}
+_MALFORMED = {"malformed-json": '{"gaps": [1, 1', "too-deep": DEEP_JSON, "missing-file": None}
+_VERIFIER_CASES = [
+    pytest.param(name, case, json.dumps(doc), id=f"{name}-{case}")
+    for name, docs in _VERIFIER_INPUTS.items() for case, doc in docs.items()] + [
+    pytest.param(name, case, text, id=f"{name}-{case}")
+    for name in _COMMANDS for case, text in _MALFORMED.items()]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+@pytest.mark.parametrize("name,case,text", _VERIFIER_CASES)
+def test_verifier_restores_collector_and_leaves_no_cycles(tmp_path, enabled, name, case, text):
+    path = tmp_path / "doc.json"
+    if text is not None:
+        path.write_text(text)
+    if case == "accept":
+        want = "accept\n"
+    elif case in _MALFORMED:
+        want = "reject: malformed input ("
+    else:
+        want = f"reject: {case} (witness "
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        gc.collect()
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = _COMMANDS[name](argparse.Namespace(file=str(path)))
+        assert gc.isenabled() is enabled
+        assert gc.collect() == 0
+    finally:
+        gc.enable() if was else gc.disable()
+    assert code == (0 if case == "accept" else 2)
+    assert out.getvalue().startswith(want)
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-10**30, 10**30) | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner,
@@ -185,9 +280,11 @@ def fuzzed_tiling_docs(draw):
 @given(fuzzed_tiling_docs())
 def test_verify_fuzzed_json_gives_a_verdict(doc):
     out, err = io.StringIO(), io.StringIO()
+    enabled = gc.isenabled()
     with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["verify", "-"])
+    assert gc.isenabled() is enabled
     text = out.getvalue()
     assert err.getvalue() == ""
     assert (code, text) == (0, "accept\n") or (code == 2 and text.startswith("reject: "))
@@ -250,9 +347,11 @@ def fuzzed_covering_docs(draw):
 @given(fuzzed_covering_docs())
 def test_verify_covering_fuzzed_json_gives_a_verdict(doc):
     out, err = io.StringIO(), io.StringIO()
+    enabled = gc.isenabled()
     with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["verify-covering", "-"])
+    assert gc.isenabled() is enabled
     text = out.getvalue()
     assert err.getvalue() == ""
     assert (code, text) == (0, "accept\n") or (code == 2 and text.startswith("reject: "))
