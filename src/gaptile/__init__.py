@@ -26,8 +26,6 @@ from .blocks3d import (
     axis_family,
     base_covering,
     covering_S3,
-    covering_S4,
-    covering_S7,
     covering_from_json,
     covering_to_json,
     skew_family,
@@ -50,9 +48,9 @@ __all__ = [
     "BASE_IDS", "BUDGET_EXHAUSTED", "Block", "Covering", "GapSequence",
     "InternalInconsistency", "NiceLayer", "Part", "PlanParameters",
     "SearchBudget", "Tiling", "UnsupportedParameters", "Verdict", "axis_family",
-    "base_covering", "build_T", "covering_S3", "covering_S4", "covering_S7",
-    "covering_from_json", "covering_to_json", "flatten_blocks", "layer_x1",
-    "layer_x2", "layer_y1", "layer_y2", "min_interval", "plan", "skew_family",
-    "solve_covering", "solve_interval", "threshold", "tile", "tiling_from_json",
-    "tiling_to_json", "verify_covering", "verify_tiling",
+    "base_covering", "build_T", "covering_S3", "covering_from_json",
+    "covering_to_json", "flatten_blocks", "layer_x1", "layer_x2", "layer_y1",
+    "layer_y2", "min_interval", "plan", "skew_family", "solve_covering",
+    "solve_interval", "threshold", "tile", "tiling_from_json", "tiling_to_json",
+    "verify_covering", "verify_tiling",
 ]

@@ -157,7 +157,7 @@ def tile(p: int, q: int, r: int) -> Tiling:
     for i in range(1, params.d + 1):
         parts += build_T(params, s + 1 if i <= r_rem else s, i)
     parts.sort()
-    tiling = Tiling(params.d + 1, params.height * r + params.d, tuple(parts))
+    tiling = Tiling(params.d + 1, params.height * r + params.d, parts)
     verdict = verify_tiling(tiling, GapSequence((p, q, r)))
     if not verdict:
         raise InternalInconsistency(f"constructed tiling failed, {verdict.message()}")

@@ -16,8 +16,9 @@ call.
 
 A covering of a planar shape S at height h is a partition of the slab
 S x {1..h} into family blocks.  This module ships a small catalog of base
-coverings over tiny shapes and the rectangle and notched rectangle
-coverings the layer builders consume.
+coverings over tiny shapes, the [3] x [2] rectangle covering S3, and the
+block lists of the [k] x [4] rectangles and notched rectangles that the
+X layer builders stretch.
 
 A builder places stretched, translated and stacked copies of catalog
 blocks as a plain block list, wraps it in the one Covering of the shape it
@@ -279,10 +280,11 @@ def base_covering(name: str) -> Covering:
     return _certified(Covering(cells, height, blocks, (member,)))
 
 
-# ---------- rectangle coverings from placed blocks ----------
+# ---------- rectangles from placed blocks ----------
 #
 # A builder places copies of catalog blocks as plain block lists and wraps
-# the finished list in one Covering, which _certified checks once.
+# the finished list in one Covering, which _certified checks once.  The
+# [k] x [4] rectangles are block lists only; at p = 1 an X layer is one.
 
 def _moved(blocks, w: int, dx: int, dy: int) -> list[Block]:
     """The blocks under x -> w*x + dx, y -> y + dy, heights untouched, in
@@ -306,40 +308,25 @@ def covering_S3() -> Covering:
     return _certified(Covering(_box(3, 2), 4, _s3(), (_AXIS,)))
 
 
-def covering_S4(k: int) -> Covering:
-    """The [k] x [4] rectangle at height 20, for k >= 2.
+def _rectangle(k: int) -> list[Block]:
+    """Blocks covering [k] x [4] at height 20, for an int k >= 2 (the X
+    layer builders check their widths).
 
     Even k is filled with [2] x [4] columns (native height 5); odd k uses two
     stacked copies of the [3] x [2] rectangle for the first three columns and
     [2] x [4] columns after that.  Every piece is stacked to height 20.
     """
-    blocks = _rectangle(k)  # checks k before _box reads it
-    return _certified(Covering(_box(k, 4), 20, blocks, (_AXIS,)))
-
-
-def _rectangle(k: int) -> list[Block]:
-    if type(k) is not int or k < 2:
-        raise ValueError(f"rectangle width must be an integer at least 2, got {k!r}")
     if k % 2 == 0:
         return _two_wide_columns(0, k)
     three = _s3()
     return _stacked(three + _moved(three, 1, 0, 2), 4, 20) + _two_wide_columns(3, k)
 
 
-def covering_S7(k: int) -> Covering:
-    """The [k] x [4] rectangle plus the extra cell (k+1, 4), at height 20.
-
-    The last columns come from a notched base piece (S6 for even k, an S5
-    plus S1 assembly for odd k); the remaining width is filled with
-    [2] x [4] columns.
-    """
-    blocks = _notched_rectangle(k)  # checks k before _box reads it
-    return _certified(Covering(_box(k, 4) | {(k + 1, 4)}, 20, blocks, (_AXIS,)))
-
-
 def _notched_rectangle(k: int) -> list[Block]:
-    if type(k) is not int or k < 2:
-        raise ValueError(f"notched rectangle width must be an integer at least 2, got {k!r}")
+    """Blocks covering [k] x [4] plus the cell (k+1, 4) at height 20, for an
+    int k >= 2.  The last columns come from a notched base piece (S6 for
+    even k, an S5 plus S1 assembly for odd k); [2] x [4] columns fill the
+    rest."""
     if k % 2 == 0:
         tail, tail_width = base_covering("S6").blocks, 2
     else:
@@ -359,12 +346,17 @@ def _two_wide_columns(start: int, stop: int) -> list[Block]:
 
 def covering_to_json(covering: Covering) -> dict:
     """Schema: {"cells": [[x, y], ...], "height": h,
-    "family": [[[dx, dy, dz]] * 3 per member], "blocks": [[[x, y, z]] * 4, ...]}."""
+    "family": [[[dx, dy, dz]] * 3 per member], "blocks": [[[x, y, z]] * 4, ...]}.
+
+    The cells (sorted), family members and blocks are the covering's own
+    tuples, with no copy per cell, member or block, in fresh outer lists;
+    json.dumps writes each tuple as a JSON array.
+    """
     return {
-        "cells": [list(c) for c in sorted(covering.cells)],
+        "cells": sorted(covering.cells),
         "height": covering.height,
-        "family": [[list(v) for v in member] for member in covering.family],
-        "blocks": [[list(p) for p in blk] for blk in covering.blocks],
+        "family": list(covering.family),
+        "blocks": list(covering.blocks),
     }
 
 

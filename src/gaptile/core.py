@@ -82,8 +82,9 @@ class Tiling:
     """A claimed partition of the interval [lo, hi] into parts.
 
     lo and hi must be integers, bool excluded, and each part is stored as a
-    tuple; another endpoint, parts that are not a sequence of sequences, or
-    an empty part is a ValueError.  hi < lo is the empty interval:
+    tuple (a part given as a tuple is kept, not copied); another endpoint,
+    parts that are not a sequence of sequences, or an empty part is a
+    ValueError.  hi < lo is the empty interval:
     Tiling(5, 4, ()) is its one partition, and any element there is stray.
     """
 
@@ -268,7 +269,8 @@ def tiling_from_json(obj) -> tuple[GapSequence, Tiling]:
     _part only when a bulk check fails, so a valid document costs a few
     builtin passes over its parts and an invalid one gets _part's error.
     Parts of one length that are already increasing, as tiling_to_json
-    writes them, are taken as they are, without sorting.
+    writes them, are taken as they are, without sorting.  Each part's tuple
+    is built once, and Tiling rejects an empty part.
     """
     if not isinstance(obj, dict):
         raise ValueError("tiling JSON must be an object")
@@ -290,33 +292,36 @@ def _int_list(values, what: str) -> list[int]:
     return list(values)
 
 
-def _parts(raw_parts: list) -> tuple[Part, ...]:
-    """The parts of a JSON parts list, as tuple(map(_part, raw_parts)) gives
-    them, with _part's rules checked over the whole list at once.
+def _parts(raw_parts: list) -> list:
+    """The parts of a JSON parts list, checked in bulk against _part's
+    rules, in a list for Tiling to store as tuples; tuple(map(_part,
+    raw_parts)) is the reference.
 
-    Every part a list or tuple, every element an int (type is int, so bool
-    fails), no part empty: each is one pass of builtins over the list, not
-    a Python call per part.  When every part then has the same length k
-    and each of the k - 1 pairs of neighbouring columns is strictly
-    increasing, as in any document tiling_to_json writes, the parts are
-    already what _part returns and are read without sorting.  Otherwise
-    each part is sorted and a part with a repeated element is looked for
-    in bulk.  When any of these checks fails, the parts are read again one
-    by one with _part, which raises the same ValueError, for the same first
-    part, as it always has.
+    Every part a list or tuple and every element an int (type is int, so
+    bool fails): each is one pass of builtins over the list, not a Python
+    call per part.  An empty part is left to Tiling, which rejects it with
+    _part's message.  When every part then has the same length k and each
+    of the k - 1 pairs of neighbouring columns is strictly increasing, as
+    in any document tiling_to_json writes, raw_parts itself is returned,
+    unsorted, and Tiling builds each part's tuple.  Otherwise each part is
+    sorted into a tuple, which Tiling keeps as it is, and a part with a
+    repeated element is looked for in bulk.  When any of these checks
+    fails, the parts are read again one by one with _part, which raises
+    the same ValueError, for the same first part, as it always has.
     """
     if (set(map(type, raw_parts)) <= {list, tuple}
-            and set(map(type, chain.from_iterable(raw_parts))) <= {int}
-            and all(raw_parts)):
+            and set(map(type, chain.from_iterable(raw_parts))) <= {int}):
         lengths = set(map(len, raw_parts))
         if len(lengths) == 1 and all(
                 all(map(lt, map(itemgetter(i), raw_parts), map(itemgetter(i + 1), raw_parts)))
                 for i in range(lengths.pop() - 1)):
-            return tuple(map(tuple, raw_parts))
-        parts = tuple(map(tuple, map(sorted, raw_parts)))
+            return raw_parts
+        # a tuple per sorted part at once, so the sorted lists do not all
+        # live beside the copies Tiling would make of them
+        parts = list(map(tuple, map(sorted, raw_parts)))
         if not any(map(ne, map(len, map(set, parts)), map(len, parts))):
             return parts
-    return tuple(map(_part, raw_parts))
+    return list(map(_part, raw_parts))
 
 
 def _part(values) -> Part:

@@ -6,8 +6,7 @@ from hypothesis import example, given, strategies as st
 
 from gaptile.blocks3d import (
     BASE_IDS, Block, Covering, axis_family, base_covering, covering_S3,
-    covering_S4, covering_S7, covering_from_json, covering_to_json,
-    skew_family, verify_covering,
+    covering_from_json, covering_to_json, skew_family, verify_covering,
 )
 from gaptile.core import Verdict
 
@@ -368,26 +367,6 @@ class TestRectangles:
         assert cov.height == 4
         assert verify_covering(cov)
 
-    @pytest.mark.parametrize("k", range(2, 10))
-    def test_covering_S4(self, k):
-        cov = covering_S4(k)
-        assert cov.cells == box(k, 4)
-        assert cov.height == 20
-        assert verify_covering(cov)
-
-    @pytest.mark.parametrize("k", range(2, 10))
-    def test_covering_S7(self, k):
-        cov = covering_S7(k)
-        assert cov.cells == box(k, 4) | {(k + 1, 4)}
-        assert cov.height == 20
-        assert verify_covering(cov)
-
-    def test_small_widths_rejected(self):
-        with pytest.raises(ValueError):
-            covering_S4(1)
-        with pytest.raises(ValueError):
-            covering_S7(1)
-
 
 class TestJson:
     @pytest.mark.parametrize("name", ["S1", "T5"])
@@ -399,6 +378,17 @@ class TestJson:
         assert loaded.family == cov.family
         assert [b for b in loaded.blocks] == [b for b in cov.blocks]
         assert verify_covering(loaded)
+
+    def test_writes_the_coverings_own_tuples(self):
+        # no copy per cell, member or block; the outer values are fresh lists
+        cov = covering_S3()
+        doc = covering_to_json(cov)
+        assert doc["blocks"][0] is cov.blocks[0]
+        assert doc["family"][0] is cov.family[0]
+        assert all(cell in cov.cells and type(cell) is tuple for cell in doc["cells"])
+        assert all(type(doc[field]) is list for field in ("cells", "family", "blocks"))
+        doc["blocks"].pop()
+        assert len(cov.blocks) == len(doc["blocks"]) + 1
 
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):

@@ -666,6 +666,9 @@ class TestJson:
     @example([[1, 2], [3, 3]])
     @example([[1, 2], [True, 3]])
     @example([(1, 2), []])
+    @example([[2, 1], []])
+    @example([[1, 1], []])
+    @example([[], [1, 1]])
     @example([[1.0, 2], "ab"])
     def test_bulk_reader_matches_per_part_reference(self, raw):
         def read(parse):

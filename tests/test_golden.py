@@ -15,7 +15,7 @@ import pytest
 
 from gaptile.assemble import tile
 from gaptile.blocks3d import (
-    BASE_IDS, base_covering, covering_S3, covering_S4, covering_S7, covering_to_json,
+    BASE_IDS, base_covering, covering_S3, covering_to_json,
 )
 from gaptile.core import GapSequence, tiling_to_json
 from gaptile.layers import layer_x1, layer_x2, layer_y1, layer_y2
@@ -47,9 +47,10 @@ COVERINGS = {
                        "2e5c74766cf1635b9d124c7f99f6e5e5919e729bf84e90f756644dcd9af584e6"),
     "layer_y2(2, 3)": (lambda: layer_y2(2, 3)[1],
                        "4916820d889af880696b735baf056958d18de391f6dc49e0a4f45b2fc8bc9f53"),
-    "covering_S4(5)": (lambda: covering_S4(5),
+    # p = 1: the [5] x [4] rectangle, odd width, and its notched variant
+    "layer_x1(1, 5)": (lambda: layer_x1(1, 5)[1],
                        "bce39ce89d91aa1d7ff3e4cbb1ce8cc5b267e8aaa6178ca3edd2650adb68fb50"),
-    "covering_S7(5)": (lambda: covering_S7(5),
+    "layer_x2(1, 5)": (lambda: layer_x2(1, 5)[1],
                        "e0f1e20b2698134af82e02aafeb77c6072c5c16e2024d4c9335c893d23a1c992"),
     # t = 0: a one-member family, no staircase or step pieces
     "layer_y1(3, 3)": (lambda: layer_y1(3, 3)[1],
@@ -62,9 +63,9 @@ COVERINGS = {
     "layer_y2(2, 4)": (lambda: layer_y2(2, 4)[1],
                        "b5a83205cad9590665865490fe415a2b5d0eff1c9a884461ee8b8dcf376d38df"),
     # even widths: columns only, and the S6 tail
-    "covering_S4(4)": (lambda: covering_S4(4),
+    "layer_x1(1, 4)": (lambda: layer_x1(1, 4)[1],
                        "7f8ca0565134243e433bebdb1e623a129585249e1189f6b8a1987c581bf5dd08"),
-    "covering_S7(4)": (lambda: covering_S7(4),
+    "layer_x2(1, 4)": (lambda: layer_x2(1, 4)[1],
                        "d1d1c56f025956a1f86d0ca3d018b6e344be4e026f992b021d1e48b7e4873788"),
 }
 

@@ -3,8 +3,7 @@ import math
 import pytest
 
 from gaptile import blocks3d, layers
-from gaptile.blocks3d import Covering, axis_family, covering_S4, covering_S7, skew_family, \
-    verify_covering
+from gaptile.blocks3d import Covering, axis_family, skew_family, verify_covering
 from gaptile.core import InternalInconsistency
 from gaptile.layers import NiceLayer, layer_x1, layer_x2, layer_y1, layer_y2
 
@@ -67,6 +66,7 @@ class TestWideLayers:
         layer, cov = layer_x2(p, q)
         assert layer.size == 4 * q + 1
         assert cov.cells == box(q, 4) | {(q + 1, 4)}
+        assert cov.height == 20
         assert e1_strides(cov) == {p}
         assert verify_covering(cov)
 
@@ -169,11 +169,11 @@ def test_builder_slip_raises(monkeypatch, slip):
 
 @pytest.mark.parametrize("build", [
     lambda: layer_x1(1.5, 4), lambda: layer_y1(2.0, 3), lambda: layer_x1(1, 4.0),
-    lambda: layer_x2(1, 2.0), lambda: layer_y2(2, 3.0), lambda: covering_S4(4.0),
-    lambda: covering_S7(3.0), lambda: layer_x1(True, 2), lambda: NiceLayer(2.5, 1, 0),
-    lambda: NiceLayer(2, True, 0), lambda: axis_family(2.0), lambda: skew_family(1, True),
-], ids=["x1-float-p", "y1-float-p", "x1-float-q", "x2-float-q", "y2-float-q", "s4-float",
-        "s7-float", "x1-bool-p", "layer-float-a", "layer-bool-b", "axis-float", "skew-bool"])
+    lambda: layer_x2(1, 2.0), lambda: layer_y2(2, 3.0), lambda: layer_x1(True, 2),
+    lambda: NiceLayer(2.5, 1, 0), lambda: NiceLayer(2, True, 0), lambda: axis_family(2.0),
+    lambda: skew_family(1, True),
+], ids=["x1-float-p", "y1-float-p", "x1-float-q", "x2-float-q", "y2-float-q", "x1-bool-p",
+        "layer-float-a", "layer-bool-b", "axis-float", "skew-bool"])
 def test_non_integer_arguments_are_value_errors(build):
     # the range checks read only ints, bool excluded
     with pytest.raises(ValueError):
