@@ -16,12 +16,11 @@ call.
 
 A covering of a planar shape S at height h is a partition of the slab
 S x {1..h} into family blocks.  This module ships a small catalog of base
-coverings over tiny shapes, the [3] x [2] rectangle covering S3, and the
-block lists of the [k] x [4] rectangles and notched rectangles that the
-X layer builders stretch.
+coverings over tiny shapes and the [3] x [2] rectangle covering S3, each
+certified once per process; the layer builders in gaptile.layers place
+stretched, translated and stacked copies of their blocks.
 
-A builder places stretched, translated and stacked copies of catalog
-blocks as a plain block list, wraps it in the one Covering of the shape it
+A builder wraps the block list it placed in the one Covering of the shape it
 means to cover, and runs verify_covering on that covering once.  An invalid
 covering cannot escape the package, and verify_covering never trusts stored
 block orderings: it judges each block by its shape alone.
@@ -280,66 +279,12 @@ def base_covering(name: str) -> Covering:
     return _certified(Covering(cells, height, blocks, (member,)))
 
 
-# ---------- rectangles from placed blocks ----------
-#
-# A builder places copies of catalog blocks as plain block lists and wraps
-# the finished list in one Covering, which _certified checks once.  The
-# [k] x [4] rectangles are block lists only; at p = 1 an X layer is one.
-
-def _moved(blocks, w: int, dx: int, dy: int) -> list[Block]:
-    """The blocks under x -> w*x + dx, y -> y + dy, heights untouched, in
-    order; a stretch by w maps an (m*e1, ...) member to (w*m*e1, ...)."""
-    return [tuple((w * x + dx, y + dy, z) for x, y, z in blk) for blk in blocks]
-
-
-def _stacked(blocks, h: int, height: int) -> list[Block]:
-    """height / h copies of blocks that fill heights 1..h, lowest first."""
-    return [tuple((x, y, z + dz) for x, y, z in blk)
-            for dz in range(0, height, h) for blk in blocks]
-
-
-def _s3() -> list[Block]:
-    # S1 next to S2 shifted one column right: [3] x [2] at height 4
-    return [*base_covering("S1").blocks, *_moved(base_covering("S2").blocks, 1, 1, 0)]
-
-
+@cache
 def covering_S3() -> Covering:
-    """The [3] x [2] rectangle at height 4: S1 next to a shifted S2."""
-    return _certified(Covering(_box(3, 2), 4, _s3(), (_AXIS,)))
-
-
-def _rectangle(k: int) -> list[Block]:
-    """Blocks covering [k] x [4] at height 20, for an int k >= 2 (the X
-    layer builders check their widths).
-
-    Even k is filled with [2] x [4] columns (native height 5); odd k uses two
-    stacked copies of the [3] x [2] rectangle for the first three columns and
-    [2] x [4] columns after that.  Every piece is stacked to height 20.
-    """
-    if k % 2 == 0:
-        return _two_wide_columns(0, k)
-    three = _s3()
-    return _stacked(three + _moved(three, 1, 0, 2), 4, 20) + _two_wide_columns(3, k)
-
-
-def _notched_rectangle(k: int) -> list[Block]:
-    """Blocks covering [k] x [4] plus the cell (k+1, 4) at height 20, for an
-    int k >= 2.  The last columns come from a notched base piece (S6 for
-    even k, an S5 plus S1 assembly for odd k); [2] x [4] columns fill the
-    rest."""
-    if k % 2 == 0:
-        tail, tail_width = base_covering("S6").blocks, 2
-    else:
-        tail = [*base_covering("S5").blocks, *_moved(base_covering("S1").blocks, 1, 2, 2)]
-        tail_width = 3
-    return (_two_wide_columns(0, k - tail_width)
-            + _stacked(_moved(tail, 1, k - tail_width, 0), 4, 20))
-
-
-def _two_wide_columns(start: int, stop: int) -> list[Block]:
-    # [2] x [4] columns at height 20 filling x = start+1 .. stop
-    column = _stacked(base_covering("S4_2x4").blocks, 5, 20)
-    return [blk for x in range(start, stop - 1, 2) for blk in _moved(column, 1, x, 0)]
+    """The [3] x [2] rectangle at height 4: S1 next to S2 shifted one column
+    right.  Certified once per process and then shared, like base_covering."""
+    s2 = (tuple((x + 1, y, z) for x, y, z in blk) for blk in base_covering("S2").blocks)
+    return _certified(Covering(_box(3, 2), 4, [*base_covering("S1").blocks, *s2], (_AXIS,)))
 
 
 # ---------- JSON wire format ----------

@@ -139,7 +139,11 @@ def _parse_family(text: str):
 def _cmd_oracle(args) -> int:
     budget = None if args.budget is None else SearchBudget(args.budget)
     if args.what == "gaps":
-        gaps = GapSequence(tuple(int(x) for x in args.gaps.split(",")))
+        try:
+            gaps = tuple(int(x) for x in args.gaps.split(","))
+        except ValueError:
+            raise _UsageError(f"cannot parse gaps {args.gaps!r}") from None
+        gaps = GapSequence(gaps)
         result = min_interval(gaps, args.max_n, budget)
         none = f"no tiling of [1, n] for any n <= {args.max_n}"
     else:

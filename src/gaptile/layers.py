@@ -16,22 +16,23 @@ Four layer coverings are built here, two per parameter regime:
     Y1(p, q): [p+q] x [4] u ([p] x {5})  size 5p + 4q
     Y2(p, q): [p+q] x [3] u ([p] x {4})  size 4p + 3q
 
-The X layers tile b = q mod p stretched width-(a+1) rectangle coverings next
-to p - b width-a ones (a = q div p), so the column strides are all p and the
-total width is exactly q; X2 swaps the notched rectangle into the middle
-slot.  The Y layers interleave five narrow skew pieces (stretched to stride
-p) with a top row of stride-q hooks.  Each builder returns the NiceLayer
-descriptor together with its covering.  The builders place the pieces'
-blocks as one plain list, build one Covering of the descriptor's cells
-from it, and certify that with verify_covering, once per layer.
+Every layer is a list of placements: a catalog piece stacked to the layer's
+height, stretched to a column stride and moved to a column.  X1 fills slot j
+of p with a [k] x [4] rectangle of pieces at stride p, its columns on j+1,
+j+1+p, ...: k = a + 1 for the first b slots and a for the rest (a, b =
+divmod(q, p)), so the width is q; X2 puts the notched rectangle in slot b.
+The Y layers interleave five narrow skew pieces at stride p with a top row
+of stride-q hooks.  Each builder places every block once, certifies its one
+Covering once, and returns it with the NiceLayer descriptor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
-from .blocks3d import Block, Covering, Family, _certified, _moved, _notched_rectangle, \
-    _rectangle, _stacked, axis_family, base_covering, skew_family
+from .blocks3d import Block, Covering, Family, _certified, axis_family, base_covering, \
+    covering_S3, skew_family
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,18 @@ class NiceLayer:
         raise ValueError(f"cell ({x}, {y}) is outside the layer")
 
 
+def _moved(blocks, w: int, dx: int, dy: int) -> list[Block]:
+    """The blocks under x -> w*x + dx, y -> y + dy, heights untouched, in
+    order; a stretch by w maps an (m*e1, ...) member to (w*m*e1, ...)."""
+    return [tuple((w * x + dx, y + dy, z) for x, y, z in blk) for blk in blocks]
+
+
+def _stacked(blocks, h: int, height: int) -> list[Block]:
+    """height / h copies of blocks that fill heights 1..h, lowest first."""
+    return [tuple((x, y, z + dz) for x, y, z in blk)
+            for dz in range(0, height, h) for blk in blocks]
+
+
 def _copies(piece: list[Block], w: int, columns, dy: int = 0) -> list[Block]:
     # piece stretched to column stride w, its column x = 1 moved to 1 + dx
     return [blk for dx in columns for blk in _moved(piece, w, 1 - w + dx, dy)]
@@ -89,28 +102,60 @@ def _require_near(p: int, q: int):
         raise ValueError(f"near layers need integers 1 <= p <= q <= 2p, got p={p!r}, q={q!r}")
 
 
-def layer_x1(p: int, q: int) -> tuple[NiceLayer, Covering]:
-    """[q] x [4] covered at height 20 by axis blocks of stride p (q >= 2p)."""
+#: A multiple of the [2] x [4] column's height 5 and the other X pieces' 4.
+_X_HEIGHT = 20
+
+
+@cache
+def _x_pieces() -> tuple:
+    # stacked to _X_HEIGHT: the [2] x [4] column, [3] x [4] from two S3s, and
+    # the notched tails (piece, width) by width parity, S6 or S5 beside S1
+    s3, s1 = covering_S3().blocks, base_covering("S1").blocks
+    return (_stacked(base_covering("S4_2x4").blocks, 5, _X_HEIGHT),
+            _stacked([*s3, *_moved(s3, 1, 0, 2)], 4, _X_HEIGHT),
+            ((_stacked(base_covering("S6").blocks, 4, _X_HEIGHT), 2),
+             (_stacked([*base_covering("S5").blocks, *_moved(s1, 1, 2, 2)], 4, _X_HEIGHT), 3)))
+
+
+def _rectangle(k: int, notched: bool) -> list[tuple[list[Block], int]]:
+    """(piece, column) placements covering [k] x [4], plus (k+1, 4) when
+    notched, for k >= 2: [2] x [4] columns, after the [3] x [4] piece for
+    odd plain k, before the tail of k's parity when notched."""
+    column, three, tails = _x_pieces()
+    if notched:
+        tail, width = tails[k % 2]
+        return [(column, x) for x in range(0, k - width, 2)] + [(tail, k - width)]
+    if k % 2:
+        return [(three, 0)] + [(column, x) for x in range(3, k, 2)]
+    return [(column, x) for x in range(0, k, 2)]
+
+
+def _layer_x(p: int, q: int, notched: bool) -> tuple[NiceLayer, Covering]:
+    # slot j's rectangle column x lands on column p*x + j + 1; each distinct
+    # rectangle is laid out once and every block is placed once, in slot order
     _require_wide(p, q)
     a, b = divmod(q, p)
-    blocks = _copies(_rectangle(a + 1), p, range(b)) if b else []
-    blocks += _copies(_rectangle(a), p, range(b, p))
-    return _as_layer(NiceLayer(q, 4, 0), 20, blocks, axis_family(p))
+    slots = [_rectangle(a + 1, False)] * b + [_rectangle(a, False)] * (p - b)
+    if notched:
+        slots[b] = _rectangle(a, True)
+    blocks = [blk for slot, placements in enumerate(slots) for piece, x in placements
+              for blk in _copies(piece, p, [p * x + slot])]
+    layer = NiceLayer(q, 3, q + 1) if notched else NiceLayer(q, 4, 0)
+    return _as_layer(layer, _X_HEIGHT, blocks, axis_family(p))
+
+
+def layer_x1(p: int, q: int) -> tuple[NiceLayer, Covering]:
+    """[q] x [4] covered at height 20 by axis blocks of stride p (q >= 2p)."""
+    return _layer_x(p, q, False)
 
 
 def layer_x2(p: int, q: int) -> tuple[NiceLayer, Covering]:
     """[q] x [4] plus the cell (q+1, 4), same regime as layer_x1.
 
-    The notched rectangle takes the slot after the b wide columns, which
+    The notched rectangle takes the slot after the b wide ones, which
     lands its extra cell at (q+1, 4).
     """
-    _require_wide(p, q)
-    a, b = divmod(q, p)
-    blocks = _copies(_rectangle(a + 1), p, range(b)) if b else []
-    blocks += _copies(_notched_rectangle(a), p, [b])
-    if b + 1 < p:
-        blocks += _copies(_rectangle(a), p, range(b + 1, p))
-    return _as_layer(NiceLayer(q, 3, q + 1), 20, blocks, axis_family(p))
+    return _layer_x(p, q, True)
 
 
 def _skew_piece(name: str) -> list[Block]:

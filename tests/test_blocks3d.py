@@ -367,6 +367,10 @@ class TestRectangles:
         assert cov.height == 4
         assert verify_covering(cov)
 
+    def test_covering_S3_is_built_once(self):
+        # certified once per process and then shared, like base_covering
+        assert covering_S3() is covering_S3()
+
 
 class TestJson:
     @pytest.mark.parametrize("name", ["S1", "T5"])

@@ -537,6 +537,11 @@ def test_usage_errors_exit_64(capsys):
     assert run(capsys, "nonsense")[0] == 64
     assert run(capsys, "oracle", "cover", "--shape", "x", "--height", "2",
                "--family", "spiral:3")[0] == 64
+    for gaps in ("1,x", "", "1,,2"):
+        assert run(capsys, "oracle", "gaps", gaps, "--max-n", "8") == (
+            64, "", f"gaptile: error: cannot parse gaps {gaps!r}\n")
+    # a well-formed list with a bad value exits 2, as `threshold 0 1` does
+    assert run(capsys, "oracle", "gaps", "0,1", "--max-n", "8")[0] == 2
 
 
 def test_help_exits_zero(capsys):

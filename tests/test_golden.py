@@ -67,6 +67,14 @@ COVERINGS = {
                        "7f8ca0565134243e433bebdb1e623a129585249e1189f6b8a1987c581bf5dd08"),
     "layer_x2(1, 4)": (lambda: layer_x2(1, 4)[1],
                        "d1d1c56f025956a1f86d0ca3d018b6e344be4e026f992b021d1e48b7e4873788"),
+    # an odd narrow slot after two wide ones
+    "layer_x1(3, 11)": (lambda: layer_x1(3, 11)[1],
+                        "f3e77f29a6922f3d79266626e1a9d882b8d66f1f48ba7b69220b51f770ff5bf9"),
+    # the odd S5 + S1 notched tail at p > 1
+    "layer_x2(2, 7)": (lambda: layer_x2(2, 7)[1],
+                       "5848b51ce6c04a5f8953a549a6643819fb30107c4da71e82c70d709f8b8ddcfe"),
+    "layer_x2(3, 11)": (lambda: layer_x2(3, 11)[1],
+                        "d5bd5d2ccb51cfe381b7cf0086745754982b175b32a117a79aeabeebe6c358a1"),
 }
 
 

@@ -125,6 +125,7 @@ class TestNearLayers:
 
 @pytest.mark.parametrize("build,p,q", [
     (layer_x1, 3, 7), (layer_x2, 3, 7), (layer_x2, 1, 300), (layer_y1, 2, 3), (layer_y2, 2, 3),
+    (layer_x2, 2, 7), (layer_x1, 10, 30),
 ])
 def test_builder_certifies_its_layer_once(monkeypatch, build, p, q):
     build(p, q)  # the catalog pieces are certified once per process, here
