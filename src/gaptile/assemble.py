@@ -135,7 +135,7 @@ def build_T(params: PlanParameters, s: int, shift: int) -> list[Part]:
     count2 = s * pow(n2, -1, n1) % n1
     count1 = (s - count2 * n2) // n1
     return flatten_blocks([params.layer1] * count1 + [params.layer2] * count2,
-                          d, params.r, params.p // d, params.q // d, shift)
+                          d, params.r, shift)
 
 
 def tile(p: int, q: int, r: int) -> Tiling:

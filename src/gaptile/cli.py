@@ -259,7 +259,7 @@ def main(argv=None) -> int:
     except InternalInconsistency as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

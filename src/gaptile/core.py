@@ -265,12 +265,12 @@ def tiling_to_json(tiling: Tiling, gaps: GapSequence) -> dict:
 def tiling_from_json(obj) -> tuple[GapSequence, Tiling]:
     """Inverse of tiling_to_json; raises ValueError on schema violations.
 
-    The parts are checked in bulk (see _parts) and read one by one with
-    _part only when a bulk check fails, so a valid document costs a few
-    builtin passes over its parts and an invalid one gets _part's error.
-    Parts of one length that are already increasing, as tiling_to_json
-    writes them, are taken as they are, without sorting.  Each part's tuple
-    is built once, and Tiling rejects an empty part.
+    The parts get one bulk check (see _parts): parts of one length that
+    are already increasing, as tiling_to_json writes them, are taken as
+    they are, without sorting, for a few builtin passes over the parts.
+    Any other parts list is read one part at a time with _part, which sorts
+    each part and raises the first bad part's error.  Each part's tuple is
+    built once, and Tiling rejects an empty part.
     """
     if not isinstance(obj, dict):
         raise ValueError("tiling JSON must be an object")
@@ -293,21 +293,18 @@ def _int_list(values, what: str) -> list[int]:
 
 
 def _parts(raw_parts: list) -> list:
-    """The parts of a JSON parts list, checked in bulk against _part's
-    rules, in a list for Tiling to store as tuples; tuple(map(_part,
-    raw_parts)) is the reference.
+    """The parts of a JSON parts list, in a list for Tiling to store as
+    tuples; list(map(_part, raw_parts)) is the reference.
 
-    Every part a list or tuple and every element an int (type is int, so
-    bool fails): each is one pass of builtins over the list, not a Python
-    call per part.  An empty part is left to Tiling, which rejects it with
-    _part's message.  When every part then has the same length k and each
-    of the k - 1 pairs of neighbouring columns is strictly increasing, as
-    in any document tiling_to_json writes, raw_parts itself is returned,
-    unsorted, and Tiling builds each part's tuple.  Otherwise each part is
-    sorted into a tuple, which Tiling keeps as it is, and a part with a
-    repeated element is looked for in bulk.  When any of these checks
-    fails, the parts are read again one by one with _part, which raises
-    the same ValueError, for the same first part, as it always has.
+    One bulk check, each step a pass of builtins over the list rather than
+    a Python call per part: every part a list or tuple, every element an
+    int (type is int, so bool fails), every part of the same length k, and
+    each of the k - 1 pairs of neighbouring columns strictly increasing, as
+    in any document tiling_to_json writes.  When it holds, raw_parts itself
+    is returned, unsorted, and Tiling builds each part's tuple; an empty
+    part is left to Tiling, which rejects it with _part's message.
+    Otherwise each part is read with _part, which sorts it and raises the
+    ValueError of the first bad part.
     """
     if (set(map(type, raw_parts)) <= {list, tuple}
             and set(map(type, chain.from_iterable(raw_parts))) <= {int}):
@@ -316,11 +313,6 @@ def _parts(raw_parts: list) -> list:
                 all(map(lt, map(itemgetter(i), raw_parts), map(itemgetter(i + 1), raw_parts)))
                 for i in range(lengths.pop() - 1)):
             return raw_parts
-        # a tuple per sorted part at once, so the sorted lists do not all
-        # live beside the copies Tiling would make of them
-        parts = list(map(tuple, map(sorted, raw_parts)))
-        if not any(map(ne, map(len, map(set, parts)), map(len, parts))):
-            return parts
     return list(map(_part, raw_parts))
 
 

@@ -8,7 +8,7 @@ from gaptile import assemble
 from gaptile.assemble import build_T, plan, threshold, tile
 from gaptile.blocks3d import Covering
 from gaptile.core import GapSequence, InternalInconsistency, UnsupportedParameters, \
-    verify_tiling
+    Verdict, verify_tiling
 from gaptile.flatten import flatten_blocks
 from gaptile.layers import layer_x1, layer_x2, layer_y1, layer_y2
 
@@ -124,6 +124,11 @@ class TestPlan:
         with pytest.raises(InternalInconsistency, match="heights 4, 8"):
             plan(1, 1, 48)
 
+    def test_layer_sizes_must_match_the_regime(self, monkeypatch):
+        monkeypatch.setattr(assemble, "layer_y2", layer_y1)
+        with pytest.raises(InternalInconsistency, match="layer sizes 9, 7"):
+            plan(1, 1, 48)
+
 
 def two_function_reference(p, q):
     """Reference: the threshold and the plan fields as threshold() and plan()
@@ -216,7 +221,7 @@ class TestBuildT:
             count1, count2 = least_count2_split(s, n1, n2)
             stack = [params.layer1] * count1 + [params.layer2] * count2
             assert build_T(params, s, s % 3) == \
-                flatten_blocks(stack, d, r, p // d, q // d, s % 3)
+                flatten_blocks(stack, d, r, s % 3)
 
     def test_stack_slice_size_is_s(self):
         params = plan(1, 1, 50)
@@ -246,6 +251,12 @@ class TestTile:
         tiling = tile(1, 1, 48)
         starts = [part[0] for part in tiling.parts]
         assert starts == sorted(starts)
+
+    def test_rejected_tiling_is_internal_inconsistency(self, monkeypatch):
+        monkeypatch.setattr(assemble, "verify_tiling",
+                            lambda tiling, gaps: Verdict(False, "gaps", 2))
+        with pytest.raises(InternalInconsistency, match="reject: gaps"):
+            tile(1, 1, 48)
 
     def test_below_threshold_raises(self):
         with pytest.raises(UnsupportedParameters):

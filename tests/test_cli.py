@@ -15,7 +15,8 @@ from gaptile.assemble import tile
 from gaptile.blocks3d import BASE_IDS, base_covering, covering_to_json, verify_covering, \
     covering_from_json
 from gaptile.cli import main
-from gaptile.core import GapSequence, tiling_from_json, tiling_to_json, verify_tiling
+from gaptile.core import GapSequence, InternalInconsistency, tiling_from_json, tiling_to_json, \
+    verify_tiling
 from gaptile.layers import layer_x1, layer_x2, layer_y1, layer_y2
 from test_golden import GOLDEN
 
@@ -476,6 +477,17 @@ def test_oracle_cover(tmp_path, capsys):
     assert verify_covering(covering_from_json(json.loads(out)))
 
 
+def test_oracle_cover_skew_with_one_stride(tmp_path, capsys):
+    # skew:P is skew:P,P; T1's shape is covered at height 4
+    shape = tmp_path / "t1.json"
+    shape.write_text(json.dumps({"cells": [[1, 1], [1, 2], [2, 1]]}))
+    code, out, _ = run(
+        capsys, "oracle", "cover", "--shape", str(shape), "--height", "4",
+        "--family", "skew:1")
+    assert code == 0
+    assert verify_covering(covering_from_json(json.loads(out)))
+
+
 @pytest.mark.parametrize("doc", [
     {"shape": [[1, 1], [1, 2], [2, 2]]},   # no "cells" key
     [[1, 1], [1, 2], [2, 2]],              # a list, not an object
@@ -537,11 +549,24 @@ def test_usage_errors_exit_64(capsys):
     assert run(capsys, "nonsense")[0] == 64
     assert run(capsys, "oracle", "cover", "--shape", "x", "--height", "2",
                "--family", "spiral:3")[0] == 64
+    for family in ("axis:x", "skew:1,x"):
+        assert run(capsys, "oracle", "cover", "--shape", "x", "--height", "2",
+                   "--family", family) == (
+            64, "", f"gaptile: error: cannot parse family {family!r}\n")
     for gaps in ("1,x", "", "1,,2"):
         assert run(capsys, "oracle", "gaps", gaps, "--max-n", "8") == (
             64, "", f"gaptile: error: cannot parse gaps {gaps!r}\n")
     # a well-formed list with a bad value exits 2, as `threshold 0 1` does
     assert run(capsys, "oracle", "gaps", "0,1", "--max-n", "8")[0] == 2
+
+
+def test_internal_inconsistency_exits_1(capsys, monkeypatch):
+    def broken(p, q, r):
+        raise InternalInconsistency("constructed tiling failed")
+
+    monkeypatch.setattr(cli, "tile", broken)
+    assert run(capsys, "tile", "1", "2", "56") == (
+        1, "", "internal error: constructed tiling failed\n")
 
 
 def test_help_exits_zero(capsys):

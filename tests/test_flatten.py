@@ -4,7 +4,7 @@ from typing import NamedTuple
 import pytest
 
 from gaptile.assemble import plan
-from gaptile.blocks3d import Block, Covering
+from gaptile.blocks3d import Block, Covering, axis_family
 from gaptile.core import InternalInconsistency
 from gaptile.flatten import flatten_blocks
 from gaptile.layers import NiceLayer, layer_x1, layer_x2, layer_y1, layer_y2
@@ -92,14 +92,14 @@ class TestStack:
 
     def test_mismatched_widths_rejected(self):
         with pytest.raises(ValueError, match="same width"):
-            flatten_blocks([layer_x1(1, 2), layer_x1(1, 3)], 1, 1000, 1, 2)
+            flatten_blocks([layer_x1(1, 2), layer_x1(1, 3)], 1, 1000)
 
     def test_spacing_below_bound_rejected(self):
         stack = Stack([layer_x1(1, 2)], 2)
         assert min_spacing(stack) == 15
-        assert len(flatten_blocks(stack.pairs, stack.d, 15, 1, 2)) == 40
+        assert len(flatten_blocks(stack.pairs, stack.d, 15)) == 40
         with pytest.raises(ValueError, match="injectivity bound 15"):
-            flatten_blocks(stack.pairs, stack.d, 14, 1, 2)
+            flatten_blocks(stack.pairs, stack.d, 14)
 
     def test_cell_outside_stack_rejected(self):
         layer, cov = layer_x1(1, 2)
@@ -107,15 +107,15 @@ class TestStack:
         lifted = tuple((x, y, z + cov.height) for x, y, z in cov.blocks[0])
         bad = Covering(cov.cells, cov.height, (lifted,) + cov.blocks[1:], cov.family)
         with pytest.raises(ValueError, match="slice"):
-            flatten_blocks([(layer, bad)], 1, 100, 1, 2)
+            flatten_blocks([(layer, bad)], 1, 100)
 
     def test_mismatched_heights_rejected(self):
         layer, cov = layer_y2(1, 1)
         tall = (layer, stacked_twice(cov))
         with pytest.raises(ValueError, match="height"):
-            flatten_blocks([layer_y1(1, 1), tall], 1, 100, 1, 1)
+            flatten_blocks([layer_y1(1, 1), tall], 1, 100)
         with pytest.raises(ValueError, match="height"):
-            flatten_blocks([tall, layer_y1(1, 1)], 1, 100, 1, 1)
+            flatten_blocks([tall, layer_y1(1, 1)], 1, 100)
 
 
 BUILT_STACKS = [
@@ -150,19 +150,19 @@ class TestBijection:
 
 class TestFlattenBlocks:
     def test_wide_stack_parts(self):
-        parts = flatten_blocks([layer_x1(1, 2)], 1, 56, 1, 2)
+        parts = flatten_blocks([layer_x1(1, 2)], 1, 56)
         assert len(parts) == 40  # 8 cells x 20 slices / 4
         assert all(gap_multiset(part) == (1, 2, 56) for part in parts)
 
     def test_near_stack_parts(self):
-        parts = flatten_blocks([layer_y1(1, 1), layer_y2(1, 1)], 1, 48, 1, 1)
+        parts = flatten_blocks([layer_y1(1, 1), layer_y2(1, 1)], 1, 48)
         assert len(parts) == 16
         assert all(gap_multiset(part) == (1, 1, 48) for part in parts)
 
     def test_parts_partition_the_image(self):
         stack = Stack([layer_y1(2, 3), layer_y2(2, 3)], 1)
         r = min_spacing(stack) + 7
-        parts = flatten_blocks(stack.pairs, stack.d, r, 2, 3)
+        parts = flatten_blocks(stack.pairs, stack.d, r)
         covered = [x for part in parts for x in part]
         assert len(covered) == len(set(covered))
         assert set(covered) == phi_image(stack, r)
@@ -172,30 +172,42 @@ class TestFlattenBlocks:
         # distinct from every in-slice gap, each part shows r exactly once
         stack = Stack([layer_x1(1, 3)], 1)
         r = min_spacing(stack) + 1
-        for part in flatten_blocks(stack.pairs, stack.d, r, 1, 3):
+        for part in flatten_blocks(stack.pairs, stack.d, r):
             gaps = gap_multiset(part)
             assert gaps.count(r) == 1
 
-    def test_stride_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="strides"):
-            flatten_blocks([layer_x1(1, 2)], 1, 56, 2, 2)
-        with pytest.raises(ValueError, match="strides"):
-            flatten_blocks([layer_y1(2, 3)], 1, 1000, 2, 4)
+    def test_other_family_rejected(self):
+        # the same cells and blocks, labelled with another family
+        layer, cov = layer_x1(1, 2)
+        relabelled = Covering(cov.cells, cov.height, cov.blocks, axis_family(2))
+        with pytest.raises(ValueError, match="differs from the stack family"):
+            flatten_blocks([(layer, cov), (layer, relabelled)], 1, 100)
+
+    @pytest.mark.parametrize("first", [
+        lambda blk: blk[:3],
+        lambda blk: (blk[0], blk[0], blk[1], blk[2]),
+    ], ids=["three_points", "repeated_point"])
+    def test_first_block_needs_three_positive_gaps(self, first):
+        layer, cov = layer_x1(1, 2)
+        bad = Covering(cov.cells, cov.height, (first(cov.blocks[0]),) + cov.blocks[1:],
+                       cov.family)
+        with pytest.raises(InternalInconsistency, match="not three positive gaps"):
+            flatten_blocks([(layer, bad), (layer, cov)], 1, 100)
 
     def test_empty_stack_rejected(self):
         with pytest.raises(ValueError, match="at least one layer"):
-            flatten_blocks([], 1, 10, 1, 2)
+            flatten_blocks([], 1, 10)
 
     @pytest.mark.parametrize("d", [0, -1])
     def test_nonpositive_multiplier_rejected(self, d):
         with pytest.raises(ValueError, match="multiplier"):
-            flatten_blocks([layer_x1(1, 2)], d, 56, 1, 2)
+            flatten_blocks([layer_x1(1, 2)], d, 56)
 
     def test_covering_of_other_cells_rejected(self):
         # same width 2, one cell fewer than the covering holds
         _, cov = layer_x1(1, 2)
         with pytest.raises(ValueError, match="cells"):
-            flatten_blocks([layer_x1(1, 2), (NiceLayer(2, 3, 1), cov)], 1, 100, 1, 2)
+            flatten_blocks([layer_x1(1, 2), (NiceLayer(2, 3, 1), cov)], 1, 100)
 
     def test_each_distinct_pair_checked_once(self, monkeypatch):
         calls = []
@@ -207,7 +219,7 @@ class TestFlattenBlocks:
 
         x1, x2 = layer_x1(1, 2), layer_x2(1, 2)
         monkeypatch.setattr(NiceLayer, "cells", counted)
-        parts = flatten_blocks([x1, x2] * 250, 1, 250 * (8 + 9), 1, 2)
+        parts = flatten_blocks([x1, x2] * 250, 1, 250 * (8 + 9))
         assert calls == [x1[0], x2[0]]
         assert len(parts) == 250 * (40 + 45)
 
@@ -219,6 +231,7 @@ def _stack_12_18():
     return stack, 2016, params.p // params.d, params.q // params.d
 
 
+# (stack, r, p, q): p and q are the reduced strides its blocks flatten to
 REPEATED_STACKS = [
     # big branch, d = 1: both wide layers, one repeated
     (Stack([layer_x1(1, 3), layer_x2(1, 3), layer_x1(1, 3)], 1), 400, 1, 3),
@@ -234,13 +247,16 @@ class TestFlattenOnceReference:
     @pytest.mark.parametrize("stack,r,p,q", REPEATED_STACKS)
     def test_matches_per_point_phi(self, stack, r, p, q, shift):
         assert len(set(stack.layers)) < len(stack.layers)
-        got = sorted(flatten_blocks(stack.pairs, stack.d, r, p, q, shift))
+        got = sorted(flatten_blocks(stack.pairs, stack.d, r, shift))
         assert got == sorted(flatten_with_phi(stack, r, shift))
+        # the gaps come from the blocks; the reduced strides p, q predict them
+        assert {gap_multiset(part) for part in got} == \
+            {tuple(sorted((stack.d * p, stack.d * q, r)))}
 
     def test_spacing_below_bound_rejected(self):
         stack = Stack([layer_x1(1, 2)], 1)
         with pytest.raises(ValueError, match="injectivity"):
-            flatten_blocks(stack.pairs, stack.d, min_spacing(stack) - 1, 1, 2)
+            flatten_blocks(stack.pairs, stack.d, min_spacing(stack) - 1)
 
     def test_wrong_gaps_raise_internal_inconsistency(self):
         layer, cov = layer_x1(1, 2)
@@ -248,4 +264,4 @@ class TestFlattenOnceReference:
         square = Block(((1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1)))
         bad = Covering(cov.cells, cov.height, (square,) + cov.blocks[1:], cov.family)
         with pytest.raises(InternalInconsistency):
-            flatten_blocks([(layer, cov), (layer, bad)], 1, 100, 1, 2)
+            flatten_blocks([(layer, cov), (layer, bad)], 1, 100)

@@ -46,6 +46,10 @@ class TestNiceLayer:
         with pytest.raises(ValueError):
             NiceLayer(0, 1, 0)
 
+    def test_layer_without_cells_rejected(self):
+        with pytest.raises(ValueError, match="at least one cell"):
+            NiceLayer(1, 0, 0)
+
 
 WIDE_GRID = [(p, q) for p in range(1, 5) for q in range(2 * p, 13)]
 NEAR_GRID = [(p, q) for p in range(1, 7) for q in range(p, 2 * p + 1)]

@@ -63,6 +63,9 @@ class TestSolveInterval:
         b = solve_interval(g, 24)
         assert a == b
 
+    def test_budget_exhausted_repr(self):
+        assert repr(BUDGET_EXHAUSTED) == "BUDGET_EXHAUSTED"
+
     def test_budget_exhaustion_is_distinct(self):
         out = solve_interval(GapSequence.of(1, 2, 3), 24, SearchBudget(2))
         assert out is BUDGET_EXHAUSTED
