@@ -146,6 +146,10 @@ def tile(p: int, q: int, r: int) -> Tiling:
     when the interval's l*r integers are more than sys.maxsize, the most any
     list can index.  The result has passed verify_tiling; a failure there is
     an InternalInconsistency.
+
+    Its parts are sorted by least element.  Each of the d translates comes
+    out of flatten_blocks already increasing, so the sort only checks one
+    sorted run when d = 1 and merges d runs otherwise.
     """
     params = plan(p, q, r)
     if params.height * r > sys.maxsize:

@@ -164,13 +164,61 @@ def verify_tiling(tiling: Tiling, gaps: GapSequence) -> Verdict:
     distinct tuple once (a tiling repeats a few shapes many times) and
     stops at the first part with the wrong gaps, else at the first part
     of another length.
+
+    When every part has four elements, as in every tiling tile() builds,
+    and the parts hold exactly as many elements as [lo, hi] has integers,
+    one loop over the parts does both passes: it unpacks each part, checks
+    that its four elements are integers of [lo, hi], marks them, and looks
+    its three differences up in the same table until the first mismatch.
+    A part of another length (a 3-part beside a 5-part, say) hands the
+    candidate to the two passes above, as does any other element count.
+    Both ways give the same verdict, reason and witness.
     """
     lo, hi = tiling.lo, tiling.hi
     parts = tiling.parts
     size = sum(map(len, parts))
+    if size == max(0, hi - lo + 1) == 4 * len(parts):
+        verdict = _four_set_verdict(parts, lo, hi, size, gaps.gaps)
+        if verdict is not None:
+            return verdict
+    return _column_verdict(parts, lo, hi, size, gaps.gaps)
+
+
+def _four_set_verdict(parts: tuple[Part, ...], lo: int, hi: int, size: int,
+                      want: tuple[int, ...]) -> Verdict | None:
+    """verify_tiling's verdict on parts holding size = hi - lo + 1 elements,
+    four to a part, in one loop per part; None when some part does not have
+    four elements, as a 3-part beside a 5-part, for _column_verdict to judge.
+
+    Each part's elements must be integers of [lo, hi] (else the cover
+    reject) and are marked in a bytearray; the part's consecutive
+    differences are looked up in the gap table until the first mismatch.
+    """
+    marked = bytearray(size)
+    mismatch = _GapMismatch(want)
+    witness = None
+    try:
+        for a, b, c, d in parts:
+            if not (int is type(a) is type(b) is type(c) is type(d)
+                    and lo <= a <= hi and lo <= b <= hi and lo <= c <= hi and lo <= d <= hi):
+                return _cover_reject(parts, lo, hi, size)
+            marked[a - lo] = marked[b - lo] = marked[c - lo] = marked[d - lo] = 1
+            if witness is None and mismatch[b - a, c - b, d - c]:
+                witness = min(a, b, c, d)
+    except ValueError:
+        # raised only by unpacking a part of another length
+        return None
+    if marked.find(0) >= 0:
+        return _cover_reject(parts, lo, hi, size)
+    return Verdict(True) if witness is None else Verdict(False, "gaps", witness)
+
+
+def _column_verdict(parts: tuple[Part, ...], lo: int, hi: int, size: int,
+                    want: tuple[int, ...]) -> Verdict:
+    """verify_tiling's verdict on any parts holding size elements: one
+    exact-cover pass over the elements, then the gaps column by column."""
     if size != max(0, hi - lo + 1) or not _exact_cover(parts, lo, size):
         return _cover_reject(parts, lo, hi, size)
-    want = gaps.gaps
     k = len(want) + 1
     # parts[:j] is parts itself, not a copy, when every part has k elements
     j = next(compress(count(), map(ne, map(len, parts), repeat(k))), len(parts))

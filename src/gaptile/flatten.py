@@ -34,6 +34,12 @@ leaking a wrong part.  Since every gap is positive, that check also proves
 each part strictly increases.  What translation does not preserve, that
 the copies are disjoint and cover the interval, is checked by verify_tiling
 over every part before assemble.tile returns.
+
+The parts come out in increasing order of least element.  A block's least
+value lies in its lowest slice z, and since r exceeds every difference of
+ranks, least values order by (z, start of the copy, rank).  So each pattern
+is split by its blocks' lowest slice, each group sorted once, and the
+groups are emitted slice by slice, each slice's copies in stack order.
 """
 
 from __future__ import annotations
@@ -58,15 +64,18 @@ def flatten_blocks(pairs: Sequence[tuple[NiceLayer, Covering]], d: int, r: int,
 
     Copy i of a layer flattens to its pattern, the sorted values
     d * layer.rank(x, y) + (z - 1) * r of each block, translated by
-    d * start_i + shift.  Each distinct (layer, covering) pair is checked
-    and mapped once: its block points must lie in slices 1..l, and each
-    block must flatten to the stack's gap multiset, that of its first
-    block, which must be three positive gaps; translation keeps gaps, and a
-    mismatch raises InternalInconsistency.  Positive gaps make the sorted
-    values strictly increase, so every copy is emitted as a plain 4-tuple.
-    That the copies are disjoint and cover their target, and that the gaps
-    are the {p, q, r} asked for, verify_tiling checks over every part
-    tile() emits.
+    d * start_i + shift.  The parts are returned in increasing order, for
+    any d and shift: slice by slice of each block's lowest point, within a
+    slice copy by copy in stack order, and within a copy by least element.
+
+    Each distinct (layer, covering) pair is checked and mapped once: its
+    block points must lie in slices 1..l, and each block must flatten to
+    the stack's gap multiset, that of its first block, which must be three
+    positive gaps; translation keeps gaps, and a mismatch raises
+    InternalInconsistency.  Positive gaps make the sorted values strictly
+    increase, so every copy is emitted as a plain 4-tuple.  That the copies
+    are disjoint and cover their target, and that the gaps are the
+    {p, q, r} asked for, verify_tiling checks over every part tile() emits.
     """
     if not pairs:
         raise ValueError("a stack needs at least one layer")
@@ -78,8 +87,8 @@ def flatten_blocks(pairs: Sequence[tuple[NiceLayer, Covering]], d: int, r: int,
     a, height, family = pairs[0][0].a, pairs[0][1].height, set(pairs[0][1].family)
 
     gaps = None
-    patterns: dict[tuple[NiceLayer, int], list[tuple[int, ...]]] = {}
-    parts: list[Part] = []
+    patterns: dict[tuple[NiceLayer, int], dict[int, list[Part]]] = {}
+    copies: list[tuple[int, dict[int, list[Part]]]] = []
     start = 0
     for layer, cov in pairs:
         key = (layer, id(cov))
@@ -94,19 +103,24 @@ def flatten_blocks(pairs: Sequence[tuple[NiceLayer, Covering]], d: int, r: int,
                 raise ValueError(f"covering family {sorted(cov.family)} differs from "
                                  f"the stack family {sorted(family)}")
             patterns[key], gaps = _pattern(layer, cov, d, r, gaps)
-        offset = d * start + shift
-        # every block has four points, so every pattern is a 4-tuple
-        parts += [(w + offset, x + offset, y + offset, z + offset)
-                  for w, x, y, z in patterns[key]]
+        copies.append((d * start + shift, patterns[key]))
         start += layer.size
+
+    parts: list[Part] = []
+    for z in sorted({z for groups in patterns.values() for z in groups}):
+        # every block has four points, so every pattern part is a 4-tuple
+        parts += [(w + offset, x + offset, y + offset, v + offset)
+                  for offset, groups in copies for w, x, y, v in groups.get(z, ())]
     return parts
 
 
 def _pattern(layer: NiceLayer, cov: Covering, d: int, r: int,
-             gaps: tuple[int, ...] | None) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
-    """Sorted flattened values of each block of one layer copy at offset 0,
-    and the stack's gap multiset: gaps, or if that is None the first block's."""
-    pattern = []
+             gaps: tuple[int, ...] | None) -> tuple[dict[int, list[Part]], tuple[int, ...]]:
+    """The flattened parts of one layer copy at offset 0, each the sorted
+    values of one block, grouped by the block's lowest slice and sorted
+    within each group; and the stack's gap multiset: gaps, or if that is
+    None the first block's."""
+    groups: dict[int, list[Part]] = {}
     for blk in cov.blocks:
         values = []
         for x, y, z in blk:
@@ -123,5 +137,7 @@ def _pattern(layer: NiceLayer, cov: Covering, d: int, r: int,
         elif got != gaps:
             raise InternalInconsistency(
                 f"flattened block {blk} has gaps {got}, expected {gaps}")
-        pattern.append(tuple(values))
-    return pattern, gaps
+        groups.setdefault(min(z for _, _, z in blk), []).append(tuple(values))
+    for group in groups.values():
+        group.sort()
+    return groups, gaps

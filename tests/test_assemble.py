@@ -1,5 +1,6 @@
 import math
 import sys
+from operator import lt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -223,6 +224,14 @@ class TestBuildT:
             assert build_T(params, s, s % 3) == \
                 flatten_blocks(stack, d, r, s % 3)
 
+    @pytest.mark.parametrize("shift", range(1, 7))
+    def test_parts_come_out_increasing(self, shift):
+        # tile(12, 18, 2016) builds d = 6 translates, one per shift
+        params = plan(12, 18, 2016)
+        assert params.d == 6
+        parts = build_T(params, 2016 // params.d, shift)
+        assert all(map(lt, parts, parts[1:]))
+
     def test_stack_slice_size_is_s(self):
         params = plan(1, 1, 50)
         covered = [x for part in build_T(params, 49, 0) for x in part]
@@ -251,6 +260,12 @@ class TestTile:
         tiling = tile(1, 1, 48)
         starts = [part[0] for part in tiling.parts]
         assert starts == sorted(starts)
+
+    def test_translates_merge_into_sorted_parts(self):
+        # d = 3: three increasing runs, one per translate, merged by the sort
+        tiling = tile(3, 3, 144)
+        assert all(map(lt, tiling.parts, tiling.parts[1:]))
+        assert all(map(lt, map(min, tiling.parts), map(min, tiling.parts[1:])))
 
     def test_rejected_tiling_is_internal_inconsistency(self, monkeypatch):
         monkeypatch.setattr(assemble, "verify_tiling",

@@ -424,6 +424,14 @@ class TestJson:
         with pytest.raises(ValueError, match="height must be an integer"):
             covering_from_json(dict(covering_to_json(s1), height=height))
 
+    @pytest.mark.parametrize("height", [0, -1])
+    def test_height_must_be_positive(self, height):
+        s1 = base_covering("S1")
+        with pytest.raises(ValueError, match="^covering height must be positive$"):
+            Covering(s1.cells, height, s1.blocks, s1.family)
+        with pytest.raises(ValueError, match="^covering height must be positive$"):
+            covering_from_json(dict(covering_to_json(s1), height=height))
+
     def test_bad_candidate_loads_then_rejects(self):
         # malformed content (not schema) must yield a reject, not an exception
         obj = covering_to_json(base_covering("S1"))

@@ -314,40 +314,98 @@ def reference_verify_tiling(tiling, gaps):
     return Verdict(True)
 
 
+def column_verdict(tiling, gaps):
+    """verify_tiling's column path, the only path for parts of other
+    lengths, run on any candidate."""
+    size = sum(map(len, tiling.parts))
+    return gaptile.core._column_verdict(tiling.parts, tiling.lo, tiling.hi, size, gaps.gaps)
+
+
+def four_set_verdict(tiling, gaps):
+    """verify_tiling's 4-set path, or None where it does not apply."""
+    size = sum(map(len, tiling.parts))
+    assert size == tiling.length == 4 * len(tiling.parts)
+    return gaptile.core._four_set_verdict(tiling.parts, tiling.lo, tiling.hi, size, gaps.gaps)
+
+
+def threes_tiling():
+    """A tiling of [1, 600] by 3-sets with gaps {1, 3}, which only the
+    column path judges: 100 translates of the oracle's tiling of [1, 6]."""
+    _, base = min_interval(GapSequence.of(1, 3), 6)
+    return Tiling(1, 600, tuple(tuple(x + 6 * m for x in part)
+                                for m in range(100) for part in base.parts))
+
+
+def traded(tiling, i, j):
+    """The tiling with element 1 of part i and element 2 of part j swapped,
+    both parts re-sorted."""
+    swapped = [list(part) for part in tiling.parts]
+    swapped[i][1], swapped[j][2] = swapped[j][2], swapped[i][1]
+    return Tiling(tiling.lo, tiling.hi, tuple(tuple(sorted(part)) for part in swapped))
+
+
 class TestGapPass:
-    """The gaps of every part are taken once, in order, on an accept and on
-    a gaps reject alike."""
+    """The gaps of every part are looked up once, in order, up to the first
+    part with the wrong gaps, on an accept and on a gaps reject alike, and
+    on both paths: the 4-set pass, which takes no columns, and the column
+    pass, which takes them once."""
 
     @pytest.fixture
-    def differences_calls(self, monkeypatch):
-        calls = []
-        original = gaptile.core._differences
+    def reads(self, monkeypatch):
+        """Every gap-table lookup, and the part count of each _differences call."""
+        lookups, columns = [], []
+        differences = gaptile.core._differences
+
+        class Recording(gaptile.core._GapMismatch):
+            def __getitem__(self, diffs):
+                lookups.append(diffs)
+                return super().__getitem__(diffs)
 
         def counted(parts, k):
-            calls.append(len(parts))
-            return original(parts, k)
+            columns.append(len(parts))
+            return differences(parts, k)
 
+        monkeypatch.setattr(gaptile.core, "_GapMismatch", Recording)
         monkeypatch.setattr(gaptile.core, "_differences", counted)
-        return calls
+        return lookups, columns
 
-    def test_accept_reads_the_gaps_once(self, differences_calls):
-        tiling = tile(5, 7, 2080)
-        differences_calls.clear()
-        assert verify_tiling(tiling, GapSequence.of(5, 7, 2080))
-        assert differences_calls == [len(tiling.parts)]
+    @staticmethod
+    def differences(parts):
+        return [tuple(map(sub, part[1:], part)) for part in parts]
 
-    def test_gaps_reject_reads_the_gaps_once(self, differences_calls):
-        tiling = tile(5, 7, 2080)
-        swapped = [list(part) for part in tiling.parts]
-        i, j = 10, len(swapped) - 10
-        swapped[i][1], swapped[j][2] = swapped[j][2], swapped[i][1]
-        traded = Tiling(tiling.lo, tiling.hi, tuple(tuple(sorted(part)) for part in swapped))
-        g = GapSequence.of(5, 7, 2080)
-        differences_calls.clear()
-        v = verify_tiling(traded, g)
-        assert (v.ok, v.reason, v.witness) == (False, "gaps", min(traded.parts[i]))
-        assert differences_calls == [len(traded.parts)]
-        assert verdict_key(v) == verdict_key(reference_verify_tiling(traded, g))
+    def check_accept(self, reads, tiling, g, column_passes):
+        lookups, columns = reads
+        lookups.clear()
+        columns.clear()
+        assert verify_tiling(tiling, g)
+        assert lookups == self.differences(tiling.parts)
+        assert columns == [len(tiling.parts)] * column_passes
+
+    def check_gaps_reject(self, reads, tiling, g, column_passes):
+        i = 10
+        candidate = traded(tiling, i, len(tiling.parts) - 10)
+        lookups, columns = reads
+        lookups.clear()
+        columns.clear()
+        v = verify_tiling(candidate, g)
+        assert (v.ok, v.reason, v.witness) == (False, "gaps", min(candidate.parts[i]))
+        assert lookups == self.differences(candidate.parts[:i + 1])
+        assert columns == [len(candidate.parts)] * column_passes
+        assert verdict_key(v) == verdict_key(reference_verify_tiling(candidate, g))
+
+    def test_accept_reads_the_gaps_once(self, reads):
+        # 4-sets: the one-loop pass, no columns
+        self.check_accept(reads, tile(5, 7, 2080), GapSequence.of(5, 7, 2080), 0)
+
+    def test_gaps_reject_reads_the_gaps_once(self, reads):
+        self.check_gaps_reject(reads, tile(5, 7, 2080), GapSequence.of(5, 7, 2080), 0)
+
+    def test_column_accept_reads_the_gaps_once(self, reads):
+        # 3-sets: the column pass, once
+        self.check_accept(reads, threes_tiling(), GapSequence.of(1, 3), 1)
+
+    def test_column_gaps_reject_reads_the_gaps_once(self, reads):
+        self.check_gaps_reject(reads, threes_tiling(), GapSequence.of(1, 3), 1)
 
 
 @functools.cache
@@ -493,6 +551,96 @@ class TestVerifyTilingAgainstLookupReference:
         # no number is missing or stray, so the bool itself is the witness
         v = verify_tiling(Tiling(1, 4, ((1, 2, 3, 4), (True,))), triple(1, 1, 1))
         assert (v.ok, v.reason) == (False, "coverage") and v.witness is True
+
+
+FOUR_SET_TAMPERINGS = ("trade", "duplicate", "out_of_range", "bool", "float", "regap")
+
+
+@st.composite
+def four_set_candidates(draw):
+    """An accepted tiling by 4-sets with its parts shuffled, then up to four
+    changes that keep four elements to a part and as many elements as the
+    interval has integers, so the 4-set pass judges it: two elements traded
+    between parts; an element replaced by another part's element, by an
+    integer outside [lo, hi], by a bool or by a float; other gaps.  Each
+    changed part is re-sorted or not."""
+    tiling, gaps = draw(st.sampled_from(
+        [case for case in valid_tilings() if case[1].set_size == 4]))
+    lo, hi = tiling.lo, tiling.hi
+    parts = [list(part) for part in draw(st.permutations(tiling.parts))]
+    slots = st.tuples(st.integers(0, len(parts) - 1), st.integers(0, 3))
+    for step in draw(st.lists(st.sampled_from(FOUR_SET_TAMPERINGS), max_size=4)):
+        i, a = draw(slots)
+        j, b = draw(slots)
+        if step == "trade":
+            parts[i][a], parts[j][b] = parts[j][b], parts[i][a]
+        elif step == "duplicate":
+            parts[i][a] = parts[j][b]
+        elif step == "out_of_range":
+            parts[i][a] = draw(st.sampled_from([lo - 1, hi + 1, lo - 10**6, hi + 10**6]))
+        elif step == "bool":
+            parts[i][a] = draw(st.booleans())
+        elif step == "float":
+            parts[i][a] = parts[i][a] + draw(st.sampled_from([0.0, 0.5]))
+        else:
+            gaps = GapSequence(tuple(draw(st.lists(st.integers(1, 4), min_size=3,
+                                                   max_size=3))))
+        for k in {i, j}:
+            if draw(st.booleans()):
+                parts[k].sort()
+    return Tiling(lo, hi, tuple(map(tuple, parts))), gaps
+
+
+class TestFourSetPath:
+    """verify_tiling judges 4-sets that hold as many elements as the interval
+    in one loop per part, with the column path's verdict, reason and witness;
+    every other candidate goes to the column path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(four_set_candidates())
+    def test_matches_column_path(self, case):
+        tiling, gaps = case
+        got = four_set_verdict(tiling, gaps)
+        assert got is not None
+        assert verdict_key(got) == verdict_key(verify_tiling(tiling, gaps))
+        assert verdict_key(got) == verdict_key(column_verdict(tiling, gaps))
+        # the reference takes a bool for the int it equals
+        if not any(type(x) is bool for part in tiling.parts for x in part):
+            assert verdict_key(got) == verdict_key(reference_verify_tiling(tiling, gaps))
+
+    def test_mixed_lengths_take_the_column_path(self):
+        # eight elements in two parts, but a 3-part beside a 5-part
+        t = Tiling(1, 8, ((1, 2, 3), (4, 5, 6, 7, 8)))
+        g = triple(1, 1, 1)
+        assert four_set_verdict(t, g) is None
+        v = verify_tiling(t, g)
+        assert v.message() == "reject: gaps (witness 1)"
+        assert verdict_key(v) == verdict_key(column_verdict(t, g))
+
+    @pytest.mark.parametrize("tiling,witness", [
+        (Tiling(1, 4, ((True, 2, 3, 4),)), 1),
+        (Tiling(1, 8, ((1, 2, 3, 4), (5, 6, 7, True))), 8),
+    ])
+    def test_bool_in_a_four_part_is_a_stray(self, tiling, witness):
+        g = triple(1, 1, 1)
+        v = four_set_verdict(tiling, g)
+        assert verdict_key(v) == (False, "coverage", int, witness)
+        assert verdict_key(v) == verdict_key(verify_tiling(tiling, g))
+        assert verdict_key(v) == verdict_key(column_verdict(tiling, g))
+
+    @pytest.mark.parametrize("tiling,witness", [
+        # 0 stands in for 8 at each place of its part: its offset -1 would
+        # wrap to 8's slot, the last of the bytearray, and mark every slot
+        *[(Tiling(1, 8, ((1, 2, 3, 4), (5, 6, 7)[:at] + (0,) + (5, 6, 7)[at:])), 0)
+          for at in range(4)],
+        (Tiling(1, 8, ((-10**6, 2, 3, 4), (5, 6, 7, 8))), -10**6),
+    ])
+    def test_element_below_lo_is_a_coverage_reject(self, tiling, witness):
+        g = triple(1, 1, 1)
+        v = four_set_verdict(tiling, g)
+        assert (v.ok, v.reason, v.witness) == (False, "coverage", witness)
+        assert verdict_key(v) == verdict_key(verify_tiling(tiling, g))
+        assert verdict_key(v) == verdict_key(reference_verify_tiling(tiling, g))
 
 
 class TestNonNumericElements:

@@ -1,4 +1,5 @@
 from itertools import accumulate
+from operator import lt
 from typing import NamedTuple
 
 import pytest
@@ -252,6 +253,14 @@ class TestFlattenOnceReference:
         # the gaps come from the blocks; the reduced strides p, q predict them
         assert {gap_multiset(part) for part in got} == \
             {tuple(sorted((stack.d * p, stack.d * q, r)))}
+
+    @pytest.mark.parametrize("shift", [0, 5])
+    @pytest.mark.parametrize("stack,r,p,q", REPEATED_STACKS)
+    def test_parts_come_out_increasing(self, stack, r, p, q, shift):
+        # by slice, then copy in stack order, then least element in the copy
+        parts = flatten_blocks(stack.pairs, stack.d, r, shift)
+        assert all(map(lt, parts, parts[1:]))
+        assert all(map(lt, map(min, parts), map(min, parts[1:])))
 
     def test_spacing_below_bound_rejected(self):
         stack = Stack([layer_x1(1, 2)], 1)
