@@ -23,7 +23,9 @@ stretched, translated and stacked copies of their blocks.
 A builder wraps the block list it placed in the one Covering of the shape it
 means to cover, and runs verify_covering on that covering once.  An invalid
 covering cannot escape the package, and verify_covering never trusts stored
-block orderings: it judges each block by its shape alone.
+block orderings: it judges each block by its shape alone.  Cells, members and
+blocks are checked in bulk by core._nested_ints: in Covering (cells, family),
+covering_from_json and verify_covering (blocks).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, chain, permutations
 
-from .core import InternalInconsistency, Verdict
+from .core import InternalInconsistency, Verdict, _nested_ints
 
 Point3 = tuple[int, int, int]
 Vec3 = tuple[int, int, int]
@@ -73,13 +75,12 @@ Block = tuple[Point3, Point3, Point3, Point3]
 @dataclass(frozen=True)
 class Covering:
     """A shape, a height, the blocks partitioning shape x {1..height}, and
-    the family the blocks are drawn from.  Cells, blocks and their points are
-    stored as tuples, whatever sequences they were given as.  A height that
-    is not a positive integer (bool included), cells or blocks that cannot
-    be read as such sequences, a cell that is not two ints, and a family
-    member that is not three lists or tuples of three ints (bool excluded,
-    as shape_from_json and covering_from_json read them), are a
-    ValueError."""
+    the family the blocks are drawn from, each cell, block, point and member
+    stored as a tuple built once.  The one check of cells and family: a
+    ValueError names the first cell that is not two ints or member that is
+    not three lists or tuples of three ints (bool excluded), and one is also
+    raised for fields that are not sequences or a height that is not a
+    positive int.  verify_covering judges the blocks."""
 
     cells: frozenset[Cell]
     height: int
@@ -88,16 +89,18 @@ class Covering:
 
     def __post_init__(self):
         try:
-            cells = tuple(map(tuple, self.cells))
+            cells, family = tuple(self.cells), tuple(self.family)
             object.__setattr__(self, "blocks", tuple(tuple(map(tuple, b)) for b in self.blocks))
-            object.__setattr__(self, "family", tuple(
-                _points(m, 3, 3, "a family member") for m in self.family))
         except TypeError as exc:
             raise ValueError(f"cells, blocks and family must be sequences: {exc}") from None
-        if not _int_points(cells, 2):
-            bad = next(c for c in cells if not _int_points([c], 2))
-            raise ValueError(f"a cell must be two integers, got {bad!r}")
-        object.__setattr__(self, "cells", frozenset(cells))
+        bad = _nested_ints(cells, 2)
+        if bad < len(cells):
+            raise ValueError(f"a cell must be two integers, got {cells[bad]!r}")
+        bad = _nested_ints(family, 3, 3)
+        if bad < len(family):
+            raise ValueError(f"a family member must be 3 lists of 3 integers, got {family[bad]!r}")
+        object.__setattr__(self, "cells", frozenset(map(tuple, cells)))
+        object.__setattr__(self, "family", tuple(tuple(map(tuple, m)) for m in family))
         if type(self.height) is not int:
             raise ValueError("height must be an integer")
         if self.height < 1:
@@ -112,28 +115,24 @@ def verify_covering(covering: Covering) -> Verdict:
 
     Checks run in the fixed order block validity, overlap, coverage; the
     verdict's witness is the offending block index or point.  A block is
-    valid iff it is four points, each three ints (bool excluded, as
-    covering_from_json reads them), whose shape is the shape of a member's
-    walk.  Candidates assembled from untrusted JSON, and blocks of any
-    content, yield a reject, never an exception.
+    valid iff it is four points of three ints (bool excluded; one bulk check
+    for all blocks) whose shape is the shape of a member's walk.
+    Candidates assembled from untrusted JSON, and blocks of any content,
+    yield a reject, never an exception.
 
     Memory follows the blocks, not the slab: the coverage witness is the
     least stray point or the least missing one, found by scanning the slab
     in sorted order, within len(seen) + 1 steps by pigeonhole.
     """
     blocks = covering.blocks
-    points = list(chain.from_iterable(blocks))
-    bad = len(blocks)
-    if not _int_points(points, 3):
-        # one bulk pass clears a well-typed covering; only a failing one is
-        # walked block by block, to name the first bad index
-        bad = next(i for i, block in enumerate(blocks) if not _int_points(block, 3))
+    bad = _nested_ints(blocks, 4, 3)
     shapes = _family_shapes(covering.family)
     for index, block in enumerate(blocks[:bad]):
-        if len(block) != 4 or _block_shape(block) not in shapes:
+        if _block_shape(block) not in shapes:
             return Verdict(False, "block", index)
     if bad < len(blocks):
         return Verdict(False, "block", bad)
+    points = list(chain.from_iterable(blocks))
     seen: set[Point3] = set(points)
     if len(seen) < len(points):
         # name the first point, in block order, that an earlier block holds
@@ -165,12 +164,6 @@ def _block_shape(points) -> frozenset[Vec3]:
     """The point set translated so that its least point is the origin."""
     bx, by, bz = min(points)
     return frozenset((x - bx, y - by, z - bz) for x, y, z in points)
-
-
-def _int_points(points, arity: int) -> bool:
-    """Whether every point is arity ints, bool excluded."""
-    return (set(map(len, points)) <= {arity}
-            and set(map(type, chain.from_iterable(points))) <= {int})
 
 
 def _certified(covering: Covering) -> Covering:
@@ -306,41 +299,28 @@ def covering_to_json(covering: Covering) -> dict:
 
 
 def covering_from_json(obj) -> Covering:
-    """Inverse of covering_to_json; raises ValueError on schema violations.
-
-    The result is *not* auto-verified: feed it to verify_covering to judge it.
-    """
+    """Inverse of covering_to_json; a ValueError names the first block that
+    is not 4 lists of 3 ints, and Covering checks the rest and builds each
+    tuple once.  The result is *not* auto-verified: feed it to verify_covering."""
     cells = shape_from_json(obj)
     try:
         height = obj["height"]
-        raw_family = obj["family"]
-        raw_blocks = obj["blocks"]
+        family = obj["family"]
+        blocks = obj["blocks"]
     except KeyError as exc:
         raise ValueError(f"covering JSON missing field: {exc}") from None
-    if not isinstance(raw_blocks, list):
+    if not isinstance(blocks, list):
         raise ValueError("blocks must be a list")
-    blocks = tuple(_points(b, 4, 3, "a block") for b in raw_blocks)
-    return Covering(cells, height, blocks, raw_family)
+    i = _nested_ints(blocks, 4, 3)
+    if i < len(blocks):
+        raise ValueError(f"a block must be 4 lists of 3 integers, got block {i}: {blocks[i]!r}")
+    return Covering(cells, height, blocks, family)
 
 
-def shape_from_json(obj) -> frozenset[Cell]:
-    """The cells of a shape document {"cells": [[x, y], ...]}, validated as
-    covering_from_json validates a covering's cells; raises ValueError on
-    schema violations."""
+def shape_from_json(obj) -> list:
+    """The cells list of a shape document {"cells": [[x, y], ...]}, else a
+    ValueError; Covering, which solve_covering builds from it, checks each
+    cell."""
     if not isinstance(obj, dict) or not isinstance(obj.get("cells"), list):
         raise ValueError('expected a JSON object with a "cells" list')
-    return frozenset(_point(c, 2) for c in obj["cells"])
-
-
-def _point(values, arity: int) -> tuple[int, ...]:
-    # bool is an int subclass, but true is not a coordinate
-    if (not isinstance(values, (list, tuple)) or len(values) != arity
-            or any(type(v) is not int for v in values)):
-        raise ValueError(f"expected {arity} integers, got {values!r}")
-    return tuple(values)
-
-
-def _points(values, count: int, arity: int, what: str) -> tuple[tuple[int, ...], ...]:
-    if not isinstance(values, (list, tuple)) or len(values) != count:
-        raise ValueError(f"{what} must be {count} lists of {arity} integers, got {values!r}")
-    return tuple(_point(v, arity) for v in values)
+    return obj["cells"]

@@ -192,9 +192,8 @@ def _build_parser() -> _Parser:
     s.add_argument("p", type=int)
     s.add_argument("q", type=int)
     s.add_argument("r", type=int)
-    mode = s.add_mutually_exclusive_group()
-    mode.add_argument("--json", action="store_true", help="JSON output (default)")
-    mode.add_argument("--text", action="store_true", help="human-oriented output")
+    s.add_argument("--text", action="store_true",
+                   help="human-oriented output instead of JSON")
     s.add_argument("--sort-gaps", action="store_true",
                    help="treat the largest of the three as r")
     s.set_defaults(func=_cmd_tile)

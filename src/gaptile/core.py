@@ -313,9 +313,9 @@ def tiling_to_json(tiling: Tiling, gaps: GapSequence) -> dict:
 def tiling_from_json(obj) -> tuple[GapSequence, Tiling]:
     """Inverse of tiling_to_json; raises ValueError on schema violations.
 
-    The parts get one bulk check (see _parts): parts of one length that
-    are already increasing, as tiling_to_json writes them, are taken as
-    they are, without sorting, for a few builtin passes over the parts.
+    The parts get one bulk check, _parts: the passes of _nested_ints and one
+    per pair of neighbouring columns.  Parts of one length that are already
+    increasing, as tiling_to_json writes them, are taken without sorting.
     Any other parts list is read one part at a time with _part, which sorts
     each part and raises the first bad part's error.  Each part's tuple is
     built once, and Tiling rejects an empty part.
@@ -334,6 +334,30 @@ def tiling_from_json(obj) -> tuple[GapSequence, Tiling]:
     return gaps, Tiling(lo, hi, _parts(raw_parts))
 
 
+def _nested_ints(values, *lengths: int) -> int:
+    """The index of the first item of values (a list or tuple) that is not
+    lengths[0] lists or tuples of lengths[1] ... of ints, else len(values);
+    types are exact, as json.load builds them, so a bool is no int.  Each
+    level takes two bulk passes (types, lengths), the leaves one, and only
+    inner levels are listed; halving then finds a first bad item in bulk."""
+    level = values
+    for depth, n in enumerate(lengths):
+        if not (set(map(type, level)) <= {list, tuple} and set(map(len, level)) <= {n}):
+            break
+        level = chain.from_iterable(level)
+        if depth < len(lengths) - 1:
+            level = list(level)
+    else:
+        if set(map(type, level)) <= {int}:
+            return len(values)
+    if len(values) == 1:
+        return 0
+    # a bulk pass failed, so some item fails on its own: bisect for the first
+    half = len(values) // 2
+    bad = _nested_ints(values[:half], *lengths)
+    return bad if bad < half else half + _nested_ints(values[half:], *lengths)
+
+
 def _int_list(values, what: str) -> list[int]:
     if not isinstance(values, (list, tuple)) or any(type(v) is not int for v in values):
         raise ValueError(f"{what} must be a list of integers, got {values!r}")
@@ -344,22 +368,18 @@ def _parts(raw_parts: list) -> list:
     """The parts of a JSON parts list, in a list for Tiling to store as
     tuples; list(map(_part, raw_parts)) is the reference.
 
-    One bulk check, each step a pass of builtins over the list rather than
-    a Python call per part: every part a list or tuple, every element an
-    int (type is int, so bool fails), every part of the same length k, and
-    each of the k - 1 pairs of neighbouring columns strictly increasing, as
-    in any document tiling_to_json writes.  When it holds, raw_parts itself
-    is returned, unsorted, and Tiling builds each part's tuple; an empty
-    part is left to Tiling, which rejects it with _part's message.
-    Otherwise each part is read with _part, which sorts it and raises the
-    ValueError of the first bad part.
+    When _nested_ints finds every part a list or tuple of ints of the first
+    part's length k, and each of the k - 1 pairs of neighbouring columns is
+    strictly increasing, as tiling_to_json writes them, raw_parts itself is
+    returned unsorted, for a few passes of builtins; Tiling builds the tuples
+    and rejects an empty part.  Any other list is read with _part, which
+    sorts each part and raises the ValueError of the first bad part.
     """
-    if (set(map(type, raw_parts)) <= {list, tuple}
-            and set(map(type, chain.from_iterable(raw_parts))) <= {int}):
-        lengths = set(map(len, raw_parts))
-        if len(lengths) == 1 and all(
+    if raw_parts and type(raw_parts[0]) in (list, tuple):
+        k = len(raw_parts[0])
+        if _nested_ints(raw_parts, k) == len(raw_parts) and all(
                 all(map(lt, map(itemgetter(i), raw_parts), map(itemgetter(i + 1), raw_parts)))
-                for i in range(lengths.pop() - 1)):
+                for i in range(k - 1)):
             return raw_parts
     return list(map(_part, raw_parts))
 

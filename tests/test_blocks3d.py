@@ -334,6 +334,13 @@ class TestPlainBlocks:
         with pytest.raises(ValueError):
             Covering(s1.cells, s1.height, s1.blocks, family)
 
+    def test_first_bad_family_member_is_named(self):
+        s1 = base_covering("S1")
+        family = [*axis_family(2), [[1, 0, 0], [0, 1, 0]], (E1, E2, (0, 0, True)), AXIS]
+        with pytest.raises(ValueError, match=r"^a family member must be 3 lists of 3 integers, "
+                                             r"got \[\[1, 0, 0\], \[0, 1, 0\]\]$"):
+            Covering(s1.cells, s1.height, s1.blocks, family)
+
     @pytest.mark.parametrize("cells,blocks", [
         ({(1, 1)}, [5]),
         (5, []),
@@ -401,6 +408,15 @@ class TestJson:
             covering_from_json({"cells": [[1, 1, 1]], "height": 1,
                                 "family": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]],
                                 "blocks": []})
+
+    def test_first_bad_block_is_named(self):
+        obj = covering_to_json(base_covering("S5"))
+        blocks = [[list(pt) for pt in blk] for blk in obj["blocks"]]
+        blocks[4][1][2] = True
+        blocks[7] = blocks[7][:3]
+        with pytest.raises(ValueError, match=r"^a block must be 4 lists of 3 integers, got block 4: "
+                                             r"\[\[2, 1, 2\], \[3, 1, True\], "):
+            covering_from_json(dict(obj, blocks=blocks))
 
     @pytest.mark.parametrize("field,value", [
         ("height", True),

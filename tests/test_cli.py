@@ -505,6 +505,16 @@ def test_oracle_cover_bad_shape_exits_2(tmp_path, capsys, doc):
     assert err.startswith("error: ")
 
 
+def test_oracle_cover_bool_cell_is_named(tmp_path, capsys):
+    # the shape's cells are checked by Covering, as any covering's are
+    shape = tmp_path / "shape.json"
+    shape.write_text(json.dumps({"cells": [[1, 1], [1, 2], [2, True]]}))
+    code, out, err = run(
+        capsys, "oracle", "cover", "--shape", str(shape), "--height", "4",
+        "--family", "axis:1")
+    assert (code, out, err) == (2, "", "error: a cell must be two integers, got [2, True]\n")
+
+
 def test_oracle_cover_deep_search_exits_2(tmp_path, capsys):
     # a covering is 3000 blocks deep; the search passes depth 1000, the
     # default recursion limit, before its 1500-node budget runs out

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import gaptile.core
 from gaptile.assemble import plan, threshold, tile
 from gaptile.core import (
-    GapSequence, Tiling, Verdict, _part,
+    GapSequence, Tiling, Verdict, _nested_ints, _part,
     tiling_from_json, tiling_to_json, verify_tiling,
 )
 from gaptile.oracle import min_interval
@@ -758,6 +758,71 @@ def unsorted_tilings(draw):
         chunks.append(draw(st.sampled_from(chunks)))
     lo = draw(st.integers(-40, 40))
     return Tiling(lo, lo + draw(st.integers(-1, 60)), tuple(map(tuple, chunks)))
+
+
+def reference_nested_ints(value, lengths) -> bool:
+    """Reference, one element at a time: a list or tuple of lengths[0]
+    values, each a list or tuple of lengths[1] values, and so on down to
+    leaves whose type is int (a bool is not one)."""
+    if not lengths:
+        return type(value) is int
+    return (isinstance(value, (list, tuple)) and len(value) == lengths[0]
+            and all(reference_nested_ints(v, lengths[1:]) for v in value))
+
+
+_OTHER = (st.integers(-3, 3) | st.booleans() | st.floats() | st.text(max_size=2)
+          | st.none() | st.dictionaries(st.integers(0, 3), st.integers(0, 3), max_size=3))
+
+
+@st.composite
+def _shaped(draw, lengths):
+    """A value shaped by lengths, a list or a tuple at each level, but
+    sometimes one level a value too short or too long, or a value of
+    another kind (an int, bool, float, str, None or dict) in its place."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_OTHER)
+    if not lengths:
+        return draw(st.integers(-10**20, 10**20))
+    n = draw(st.sampled_from([lengths[0]] * 6 + [max(0, lengths[0] - 1), lengths[0] + 1]))
+    items = [draw(_shaped(lengths[1:])) for _ in range(n)]
+    return items if draw(st.booleans()) else tuple(items)
+
+
+_SHAPED_LISTS = st.lists(st.integers(0, 3), min_size=1, max_size=3).flatmap(
+    lambda lengths: st.tuples(st.just(tuple(lengths)), st.lists(_shaped(lengths), max_size=9)))
+
+
+class TestNestedInts:
+    @settings(max_examples=300)
+    @given(_SHAPED_LISTS)
+    @example(((2,), [[1, 2], [True, 2]]))
+    @example(((2,), [[1, 2], {1: 0, 2: 0}]))
+    @example(((4, 3), [[[1, 1, 1]] * 4, [[1, 1, 1]] * 3]))
+    @example(((3, 3), [((1, 0, 0), (0, 1, 0), (0, 0, 1)), 5]))
+    def test_matches_per_element_reference(self, case):
+        lengths, values = case
+        want = next((i for i, v in enumerate(values)
+                     if not reference_nested_ints(v, lengths)), len(values))
+        assert _nested_ints(values, *lengths) == want
+        assert _nested_ints(tuple(values), *lengths) == want
+
+    @pytest.mark.parametrize("first", [0, 1, 510, 511, 512, 1022, 1023])
+    def test_names_the_first_bad_item_of_many(self, first):
+        # found by halves; every later block is bad too
+        good, short, floats = [[1, 2, 3]] * 4, [[1, 2, 3]] * 3, [[1, 2, 3.0]] * 4
+        blocks = [good] * first + [short] + [floats] * (1023 - first)
+        assert _nested_ints(blocks, 4, 3) == first
+
+    def test_leaves_are_not_copied(self):
+        # a list per inner level, none for the ints themselves
+        parts = [[4 * i + 1, 4 * i + 2, 4 * i + 3, 4 * i + 4] for i in range(20_000)]
+        tracemalloc.start()
+        try:
+            assert _nested_ints(parts, 4) == len(parts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000
 
 
 class TestJson:
