@@ -8,11 +8,10 @@ member"; the two kinds used here are
     axis member   (m*e1, e2, e3)            unit steps plus a column jump m
     skew member   (m*e1, e2 - m*e1, e3)     the row step leans back m columns
 
-Whether four points form a block depends only on their shape, the set
-translated so that its least point is the origin.  A block is a plain
-4-tuple of point tuples (Block); verify_covering judges it by looking its
-shape up among the walk shapes of the covering's family, built once per
-call.
+A block is a plain 4-tuple of point tuples (Block).  verify_covering sorts
+its points and looks up the offsets of the other three from the least among
+the keys of the family's walks, built once per call: translation keeps
+lexicographic order, so two 4-sets are translates exactly when keys agree.
 
 A covering of a planar shape S at height h is a partition of the slab
 S x {1..h} into family blocks.  This module ships a small catalog of base
@@ -23,18 +22,19 @@ stretched, translated and stacked copies of their blocks.
 A builder wraps the block list it placed in the one Covering of the shape it
 means to cover, and runs verify_covering on that covering once.  An invalid
 covering cannot escape the package, and verify_covering never trusts stored
-block orderings: it judges each block by its shape alone.  Cells, members and
-blocks are checked in bulk by core._nested_ints: in Covering (cells, family),
-covering_from_json and verify_covering (blocks).
+block orderings.  Cells, members and blocks are checked in bulk by
+core._nested_ints: in Covering (cells, family), covering_from_json and
+verify_covering (blocks).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, chain, permutations
+from itertools import chain, permutations, repeat
+from operator import itemgetter
 
-from .core import InternalInconsistency, Verdict, _nested_ints
+from .core import InternalInconsistency, Verdict, _QUOTE, _nested_ints
 
 Point3 = tuple[int, int, int]
 Vec3 = tuple[int, int, int]
@@ -67,8 +67,7 @@ def skew_family(p: int, q: int) -> Family:
 
 
 #: Four points of Z^3.  Their order is a convenience: verify_covering
-#: judges a block by its shape alone, the point set translated so that its
-#: least point is the origin.
+#: judges a block by its points sorted.
 Block = tuple[Point3, Point3, Point3, Point3]
 
 
@@ -76,11 +75,11 @@ Block = tuple[Point3, Point3, Point3, Point3]
 class Covering:
     """A shape, a height, the blocks partitioning shape x {1..height}, and
     the family the blocks are drawn from, each cell, block, point and member
-    stored as a tuple built once.  The one check of cells and family: a
-    ValueError names the first cell that is not two ints or member that is
-    not three lists or tuples of three ints (bool excluded), and one is also
-    raised for fields that are not sequences or a height that is not a
-    positive int.  verify_covering judges the blocks."""
+    stored as a tuple built once, with no Python frame per block.  The one
+    check of cells and family: a ValueError quotes the first cell that is
+    not two ints or member that is not three lists or tuples of three ints
+    (bool excluded), and is also raised for fields that are not sequences or
+    a height that is not a positive int.  verify_covering judges the blocks."""
 
     cells: frozenset[Cell]
     height: int
@@ -90,15 +89,17 @@ class Covering:
     def __post_init__(self):
         try:
             cells, family = tuple(self.cells), tuple(self.family)
-            object.__setattr__(self, "blocks", tuple(tuple(map(tuple, b)) for b in self.blocks))
+            blocks = tuple(map(tuple, map(map, repeat(tuple), self.blocks)))
         except TypeError as exc:
             raise ValueError(f"cells, blocks and family must be sequences: {exc}") from None
         bad = _nested_ints(cells, 2)
         if bad < len(cells):
-            raise ValueError(f"a cell must be two integers, got {cells[bad]!r}")
+            raise ValueError(f"a cell must be two integers, got {_QUOTE.repr(cells[bad])}")
         bad = _nested_ints(family, 3, 3)
         if bad < len(family):
-            raise ValueError(f"a family member must be 3 lists of 3 integers, got {family[bad]!r}")
+            raise ValueError("a family member must be 3 lists of 3 integers, "
+                             f"got {_QUOTE.repr(family[bad])}")
+        object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "cells", frozenset(map(tuple, cells)))
         object.__setattr__(self, "family", tuple(tuple(map(tuple, m)) for m in family))
         if type(self.height) is not int:
@@ -116,54 +117,57 @@ def verify_covering(covering: Covering) -> Verdict:
     Checks run in the fixed order block validity, overlap, coverage; the
     verdict's witness is the offending block index or point.  A block is
     valid iff it is four points of three ints (bool excluded; one bulk check
-    for all blocks) whose shape is the shape of a member's walk.
-    Candidates assembled from untrusted JSON, and blocks of any content,
-    yield a reject, never an exception.
+    for all blocks) whose key, the offsets of its sorted points from the
+    least, is a member walk's; a repeated point makes an offset zero or
+    repeats one, which no key does.  Any blocks yield a verdict, never an
+    exception.
 
-    Memory follows the blocks, not the slab: the coverage witness is the
-    least stray point or the least missing one, found by scanning the slab
-    in sorted order, within len(seen) + 1 steps by pigeonhole.
+    Coverage is accepted when the distinct points number len(cells) *
+    height, each (x, y) is a cell and the least and greatest z lie in
+    1..height.  Otherwise the witness is the least stray point or the least
+    missing one, found within len(seen) + 1 steps of the sorted slab by
+    pigeonhole, so memory follows the blocks, never the height.
     """
     blocks = covering.blocks
     bad = _nested_ints(blocks, 4, 3)
-    shapes = _family_shapes(covering.family)
-    for index, block in enumerate(blocks[:bad]):
-        if _block_shape(block) not in shapes:
-            return Verdict(False, "block", index)
+    keys = _family_keys(covering.family)
+    for (a, b, c), (d, e, f), (g, h, i), (j, k, l) in map(sorted, blocks[:bad]):
+        if (d - a, e - b, f - c, g - a, h - b, i - c, j - a, k - b, l - c) not in keys:
+            missed = [(a, b, c), (d, e, f), (g, h, i), (j, k, l)]
+            return Verdict(False, "block", list(map(sorted, blocks[:bad])).index(missed))
     if bad < len(blocks):
         return Verdict(False, "block", bad)
-    points = list(chain.from_iterable(blocks))
-    seen: set[Point3] = set(points)
-    if len(seen) < len(points):
+    seen: set[Point3] = set(chain.from_iterable(blocks))
+    if len(seen) < 4 * len(blocks):
         # name the first point, in block order, that an earlier block holds
         seen = set()
-        for point in points:
+        for point in chain.from_iterable(blocks):
             if point in seen:
                 return Verdict(False, "overlap", point)
             seen.add(point)
     cells, height = covering.cells, covering.height
+    zs = set(map(itemgetter(2), seen))
+    if (len(seen) == len(cells) * height and set(map(itemgetter(0, 1), seen)) <= cells
+            and 1 <= min(zs, default=1) and max(zs, default=1) <= height):
+        return Verdict(True)
     mismatches = [pt for pt in seen if pt[:2] not in cells or not 1 <= pt[2] <= height]
     if len(seen) - len(mismatches) < len(cells) * height:
         slab = ((x, y, z) for x, y in sorted(cells) for z in range(1, height + 1))
         mismatches.append(next(pt for pt in slab if pt not in seen))
-    if mismatches:
-        return Verdict(False, "coverage", min(mismatches))
-    return Verdict(True)
+    # the bulk checks failed, so some point is stray or missing
+    return Verdict(False, "coverage", min(mismatches))
 
 
-def _family_shapes(family: Family) -> set[frozenset[Vec3]]:
-    """The shapes of a family's blocks: each member's walk from the origin,
+def _family_keys(family: Family) -> set[tuple[int, ...]]:
+    """The keys of a family's blocks: each member's walk from the origin,
     under every ordering of its steps, that visits four distinct points."""
-    walks = (list(accumulate(steps, lambda a, v: (a[0] + v[0], a[1] + v[1], a[2] + v[2]),
-                             initial=(0, 0, 0)))
-             for member in family for steps in permutations(member))
-    return {shape for shape in map(_block_shape, walks) if len(shape) == 4}
-
-
-def _block_shape(points) -> frozenset[Vec3]:
-    """The point set translated so that its least point is the origin."""
-    bx, by, bz = min(points)
-    return frozenset((x - bx, y - by, z - bz) for x, y, z in points)
+    keys = set()
+    for steps in chain.from_iterable(map(permutations, family)):
+        walk = sorted({tuple(map(sum, zip((0, 0, 0), *steps[:n]))) for n in range(4)})
+        if len(walk) == 4:
+            (a, b, c), (d, e, f), (g, h, i), (j, k, l) = walk
+            keys.add((d - a, e - b, f - c, g - a, h - b, i - c, j - a, k - b, l - c))
+    return keys
 
 
 def _certified(covering: Covering) -> Covering:
@@ -313,7 +317,8 @@ def covering_from_json(obj) -> Covering:
         raise ValueError("blocks must be a list")
     i = _nested_ints(blocks, 4, 3)
     if i < len(blocks):
-        raise ValueError(f"a block must be 4 lists of 3 integers, got block {i}: {blocks[i]!r}")
+        raise ValueError(f"a block must be 4 lists of 3 integers, got block {i}: "
+                         f"{_QUOTE.repr(blocks[i])}")
     return Covering(cells, height, blocks, family)
 
 

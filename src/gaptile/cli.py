@@ -1,7 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 success or accept, 2 unsupported parameters or reject,
-1 internal inconsistency, 64 malformed arguments.
+1 internal inconsistency, 64 malformed arguments.  A reader that closes
+stdout early is no failure: the command exits 0 if its output was cut
+short, else with its own code, and writes nothing to stderr.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import argparse
 import functools
 import gc
 import json
+import os
 import sys
 
 from .assemble import threshold, tile
@@ -247,8 +250,15 @@ def main(argv=None) -> int:
         return 64
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    code = 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again on exit: send that to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     except _UsageError as exc:
         print(f"gaptile: error: {exc}", file=sys.stderr)
         return 64
@@ -261,6 +271,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -14,11 +14,17 @@ re-derives everything from the candidate itself.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from numbers import Real
 from operator import eq, itemgetter, lt, ne, sub
 from typing import Any
+
+#: Quotes an offending value in an error message: six items per list, three
+#: levels deep, so a block prints in full and any value in under 10 kB.
+_QUOTE = reprlib.Repr()
+_QUOTE.maxlevel = 3
 
 
 class UnsupportedParameters(ValueError):
@@ -52,7 +58,7 @@ class GapSequence:
             raise ValueError("a gap sequence needs at least one gap")
         # bool is an int subclass, but True is not a gap
         if any(type(g) is not int or g < 1 for g in self.gaps):
-            raise ValueError(f"gaps must be positive integers, got {self.gaps!r}")
+            raise ValueError(f"gaps must be positive integers, got {_QUOTE.repr(self.gaps)}")
         object.__setattr__(self, "gaps", tuple(sorted(self.gaps)))
 
     @classmethod
@@ -360,7 +366,7 @@ def _nested_ints(values, *lengths: int) -> int:
 
 def _int_list(values, what: str) -> list[int]:
     if not isinstance(values, (list, tuple)) or any(type(v) is not int for v in values):
-        raise ValueError(f"{what} must be a list of integers, got {values!r}")
+        raise ValueError(f"{what} must be a list of integers, got {_QUOTE.repr(values)}")
     return list(values)
 
 
@@ -391,5 +397,5 @@ def _part(values) -> Part:
     if not part:
         raise ValueError("a part needs at least one element")
     if any(map(eq, part[1:], part)):
-        raise ValueError(f"part is not strictly increasing: {part!r}")
+        raise ValueError(f"part is not strictly increasing: {_QUOTE.repr(part)}")
     return part

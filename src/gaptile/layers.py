@@ -71,7 +71,9 @@ class NiceLayer:
 def _moved(blocks, w: int, dx: int, dy: int) -> list[Block]:
     """The blocks under x -> w*x + dx, y -> y + dy, heights untouched, in
     order; a stretch by w maps an (m*e1, ...) member to (w*m*e1, ...)."""
-    return [tuple((w * x + dx, y + dy, z) for x, y, z in blk) for blk in blocks]
+    return [((w * x1 + dx, y1 + dy, z1), (w * x2 + dx, y2 + dy, z2),
+             (w * x3 + dx, y3 + dy, z3), (w * x4 + dx, y4 + dy, z4))
+            for (x1, y1, z1), (x2, y2, z2), (x3, y3, z3), (x4, y4, z4) in blocks]
 
 
 def _stacked(blocks, h: int, height: int) -> list[Block]:

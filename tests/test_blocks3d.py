@@ -1,5 +1,5 @@
 import tracemalloc
-from itertools import permutations
+from itertools import accumulate, chain, permutations
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -8,7 +8,8 @@ from gaptile.blocks3d import (
     BASE_IDS, Block, Covering, axis_family, base_covering, covering_S3,
     covering_from_json, covering_to_json, skew_family, verify_covering,
 )
-from gaptile.core import Verdict
+from gaptile.core import Verdict, _nested_ints
+from gaptile.layers import layer_x1, layer_x2, layer_y1, layer_y2
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 AXIS = (E1, E2, E3)
@@ -260,7 +261,7 @@ class TestVerifyCoveringReference:
     def test_huge_height_memory_follows_blocks(self):
         s1 = base_covering("S1")
         cov = Covering(s1.cells, 10**12, s1.blocks, s1.family)
-        # nothing is cached between calls: the family's shapes are built
+        # nothing is cached between calls: the family's keys are built
         # inside the trace, and counted in its peak
         tracemalloc.start()
         try:
@@ -270,6 +271,147 @@ class TestVerifyCoveringReference:
             tracemalloc.stop()
         assert (v.ok, v.reason, v.witness) == (False, "coverage", (1, 1, 5))
         assert peak < 10_000
+
+
+def frozenset_shape(points):
+    """Reference: the point set translated so that its least point is the
+    origin, the rule verify_covering applied per block before keys."""
+    bx, by, bz = min(points)
+    return frozenset((x - bx, y - by, z - bz) for x, y, z in points)
+
+
+def frozenset_shapes(family):
+    """Reference: the shapes of each member's walks from the origin, under
+    every ordering of its steps, that visit four distinct points."""
+    walks = (list(accumulate(steps, lambda a, v: tuple(map(sum, zip(a, v))), initial=(0, 0, 0)))
+             for member in family for steps in permutations(member))
+    return {shape for shape in map(frozenset_shape, walks) if len(shape) == 4}
+
+
+def verify_covering_with_frozensets(covering):
+    """Reference: verify_covering as it was before keys and the bulk
+    coverage check, a frozenset per block and a scan of every point."""
+    blocks = covering.blocks
+    bad = _nested_ints(blocks, 4, 3)
+    shapes = frozenset_shapes(covering.family)
+    for index, block in enumerate(blocks[:bad]):
+        if frozenset_shape(block) not in shapes:
+            return Verdict(False, "block", index)
+    if bad < len(blocks):
+        return Verdict(False, "block", bad)
+    points = list(chain.from_iterable(blocks))
+    seen = set(points)
+    if len(seen) < len(points):
+        seen = set()
+        for point in points:
+            if point in seen:
+                return Verdict(False, "overlap", point)
+            seen.add(point)
+    cells, height = covering.cells, covering.height
+    mismatches = [pt for pt in seen if pt[:2] not in cells or not 1 <= pt[2] <= height]
+    if len(seen) - len(mismatches) < len(cells) * height:
+        slab = ((x, y, z) for x, y in sorted(cells) for z in range(1, height + 1))
+        mismatches.append(next(pt for pt in slab if pt not in seen))
+    if mismatches:
+        return Verdict(False, "coverage", min(mismatches))
+    return Verdict(True)
+
+
+@st.composite
+def families(draw):
+    stride = st.integers(1, 6) | st.integers(1, 10**12)
+    if draw(st.booleans()):
+        return axis_family(draw(stride))
+    return skew_family(draw(stride), draw(stride))
+
+
+@st.composite
+def block_candidates(draw):
+    """A family and four points in any order: a member's walk from a small
+    or huge start, the walk with a point nudged or repeated, or any four
+    points, repeats allowed."""
+    family = draw(families())
+    coord = st.integers(-5, 5) | st.integers(-10**20, 10**20)
+    point = st.tuples(coord, coord, coord)
+    walk = [draw(point)]
+    for step in draw(st.permutations(draw(st.sampled_from(family)))):
+        walk.append(tuple(a + b for a, b in zip(walk[-1], step)))
+    i, k = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(["walk", "nudged", "repeated", "any"]))
+    if kind == "nudged":
+        walk[i] = tuple(v + draw(st.integers(-1, 1)) for v in walk[i])
+    elif kind == "repeated":
+        walk[i] = walk[k]
+    elif kind == "any":
+        walk = draw(st.lists(point, min_size=4, max_size=4))
+    return draw(st.permutations(walk)), family
+
+
+class TestBlockKeys:
+    """verify_covering's block check, a key of offsets from the least
+    sorted point, agrees with the frozenset shape rule it replaced."""
+
+    @given(block_candidates())
+    @example(([(0, 0, 0), (0, 0, 0), (1, 0, 0), (1, 1, 0)], axis_family(1)))
+    @example(([(5, 5, 5), (5, 5, 5), (5, 5, 5), (5, 5, 5)], skew_family(1, 2)))
+    @example(([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 1, 1)], skew_family(1, 1)))
+    def test_matches_frozenset_rule(self, case):
+        points, family = case
+        v = verify_covering(one_block(points, family))
+        missed = frozenset_shape(points) not in frozenset_shapes(family)
+        assert (v.reason == "block") == missed
+
+    def test_first_miss_is_named_among_repeats(self):
+        # the witness is the first failing block, whichever later block
+        # repeats it
+        s1 = base_covering("S1")
+        bad = ((0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0))
+        blocks = [s1.blocks[0], bad[::-1], s1.blocks[1], bad, bad[::-1]]
+        v = verify_covering(Covering(s1.cells, s1.height, blocks, s1.family))
+        assert (v.ok, v.reason, v.witness) == (False, "block", 1)
+
+
+def tampered(blocks, height, tamper):
+    """A layer covering's blocks and height, tampered one way."""
+    if tamper == "moved-point":
+        *rest, (x, y, z) = blocks[7]
+        blocks[7] = (*rest, (x + 1, y, z))
+    elif tamper == "duplicated-block":
+        blocks.insert(5, blocks[4])
+    elif tamper == "point-outside-cells":
+        blocks[3] = tuple((x + 10**6, y, z) for x, y, z in blocks[3])
+    elif tamper in ("z-0", "z-height-plus-1"):
+        dz = -1 if tamper == "z-0" else 1
+        blocks = [tuple((x, y, z + dz) for x, y, z in blk) for blk in blocks]
+    elif tamper == "height-minus-1":
+        height -= 1
+    elif tamper == "missing-point":
+        del blocks[-2]
+    elif tamper == "height-1e18":
+        height = 10**18
+    return blocks, height
+
+
+TAMPERS = ["none", "moved-point", "duplicated-block", "point-outside-cells", "z-0",
+           "z-height-plus-1", "height-minus-1", "missing-point", "height-1e18"]
+
+
+class TestVerifyCoveringFrozensetReference:
+    """Every layer covering, tampered one way, gets the same verdict, reason
+    and witness from verify_covering as from the frozenset reference."""
+
+    @pytest.mark.parametrize("tamper", TAMPERS)
+    @pytest.mark.parametrize("build,p,q", [
+        (layer_x1, 1, 5), (layer_x2, 2, 7), (layer_y1, 2, 3), (layer_y2, 3, 3),
+        (layer_x1, 1, 300),
+    ], ids=["X1-1-5", "X2-2-7", "Y1-2-3", "Y2-3-3", "X1-1-300"])
+    def test_matches_frozenset_reference(self, build, p, q, tamper):
+        _, cov = build(p, q)
+        blocks, height = tampered(list(cov.blocks), cov.height, tamper)
+        cov = Covering(cov.cells, height, blocks, cov.family)
+        got, want = verify_covering(cov), verify_covering_with_frozensets(cov)
+        assert (got.ok, got.reason, got.witness) == (want.ok, want.reason, want.witness)
+        assert got.ok == (tamper == "none")
 
 
 def listed(cov):

@@ -4,6 +4,8 @@ import gc
 import hashlib
 import io
 import json
+import os
+import sys
 import warnings
 from unittest import mock
 
@@ -581,3 +583,68 @@ def test_internal_inconsistency_exits_1(capsys, monkeypatch):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+class _ClosedPipe(io.StringIO):
+    """stdout whose reader has gone: every write, or only the flush, raises
+    BrokenPipeError.  Its descriptor is a file the test owns."""
+
+    def __init__(self, fd, writes_fail):
+        super().__init__()
+        self.fd, self.writes_fail = fd, writes_fail
+
+    def write(self, text):
+        if self.writes_fail:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv,writes_fail,code", [
+    (["tile", "1", "1", "48", "--text"], True, 0),
+    (["tile", "1", "1", "48"], False, 0),
+    (["verify-covering", "overlap.json"], True, 0),
+    (["verify-covering", "overlap.json"], False, 2),
+], ids=["tile-text-cut", "tile-json-flush", "verify-covering-cut", "verify-covering-flush"])
+def test_closed_stdout_exits_quietly(tmp_path, capsys, monkeypatch, argv, writes_fail, code):
+    # 0 when the pipe closed mid-output, the command's own code when only
+    # the final flush failed; nothing on stderr, and stdout's descriptor now
+    # leads to devnull, so the interpreter's own flush at exit cannot fail
+    s1 = covering_to_json(base_covering("S1"))
+    (tmp_path / "overlap.json").write_text(json.dumps(dict(s1, blocks=s1["blocks"] * 2)))
+    monkeypatch.chdir(tmp_path)
+    with open(tmp_path / "stdout", "w") as target:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(target.fileno(), writes_fail))
+        assert main(argv) == code
+        assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == ""
+
+
+_HUGE = list(range(100_000))
+
+
+@pytest.mark.parametrize("command,doc,names", [
+    ("verify-covering", dict(covering_to_json(base_covering("S1")), blocks=[_HUGE]),
+     "got block 0: [0, 1, 2, "),
+    ("verify-covering", dict(covering_to_json(base_covering("S1")), cells=[[1, 1], _HUGE]),
+     "a cell must be two integers, got [0, 1, 2, "),
+    ("verify-covering", dict(covering_to_json(base_covering("S1")), family=[[_HUGE] * 3]),
+     "a family member must be 3 lists of 3 integers, got [[0, 1, 2, "),
+    ("verify", {"gaps": [*_HUGE, True], "interval": [1, 4], "parts": [[1, 2, 3, 4]]},
+     "gaps must be a list of integers, got [0, 1, 2, "),
+    ("verify", {"gaps": [1, 1, 1], "interval": [1, 4], "parts": [[1, 2], [0] * 100_000]},
+     "part is not strictly increasing: (0, 0, 0, "),
+], ids=["block", "cell", "member", "gaps", "part"])
+def test_huge_offending_value_gives_a_short_reject(tmp_path, capsys, command, doc, names):
+    # the message quotes the value cut down, and still names it
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, err) == (2, "")
+    assert out.startswith("reject: malformed input (") and names in out
+    assert out.count("\n") == 1 and len(out.encode()) < 300
