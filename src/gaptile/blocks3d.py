@@ -22,9 +22,9 @@ stretched, translated and stacked copies of their blocks.
 A builder wraps the block list it placed in the one Covering of the shape it
 means to cover, and runs verify_covering on that covering once.  An invalid
 covering cannot escape the package, and verify_covering never trusts stored
-block orderings.  Cells, members and blocks are checked in bulk by
-core._nested_ints: in Covering (cells, family), covering_from_json and
-verify_covering (blocks).
+block orderings.  Covering is the one check of blocks, cells and family
+members, each in bulk by core._nested_ints; verify_covering then judges
+only geometry.
 """
 
 from __future__ import annotations
@@ -74,12 +74,12 @@ Block = tuple[Point3, Point3, Point3, Point3]
 @dataclass(frozen=True)
 class Covering:
     """A shape, a height, the blocks partitioning shape x {1..height}, and
-    the family the blocks are drawn from, each cell, block, point and member
-    stored as a tuple built once, with no Python frame per block.  The one
-    check of cells and family: a ValueError quotes the first cell that is
-    not two ints or member that is not three lists or tuples of three ints
-    (bool excluded), and is also raised for fields that are not sequences or
-    a height that is not a positive int.  verify_covering judges the blocks."""
+    the family the blocks are drawn from, each stored as tuples built once.
+    The one check of blocks, cells and family, in that order: a ValueError
+    names the first block that is not four lists or tuples of three ints
+    (bool excluded), cell that is not two ints or member that is not three
+    such lists, and is raised for fields that are not sequences or a height
+    that is not a positive int.  verify_covering judges the geometry."""
 
     cells: frozenset[Cell]
     height: int
@@ -88,8 +88,12 @@ class Covering:
 
     def __post_init__(self):
         try:
+            blocks = tuple(self.blocks)
+            bad = _nested_ints(blocks, 4, 3)
+            if bad < len(blocks):
+                raise ValueError(f"a block must be 4 lists of 3 integers, got block {bad}: "
+                                 f"{_QUOTE.repr(blocks[bad])}")
             cells, family = tuple(self.cells), tuple(self.family)
-            blocks = tuple(map(tuple, map(map, repeat(tuple), self.blocks)))
         except TypeError as exc:
             raise ValueError(f"cells, blocks and family must be sequences: {exc}") from None
         bad = _nested_ints(cells, 2)
@@ -99,7 +103,7 @@ class Covering:
         if bad < len(family):
             raise ValueError("a family member must be 3 lists of 3 integers, "
                              f"got {_QUOTE.repr(family[bad])}")
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", tuple(map(tuple, map(map, repeat(tuple), blocks))))
         object.__setattr__(self, "cells", frozenset(map(tuple, cells)))
         object.__setattr__(self, "family", tuple(tuple(map(tuple, m)) for m in family))
         if type(self.height) is not int:
@@ -115,12 +119,11 @@ def verify_covering(covering: Covering) -> Verdict:
     blocks partition cells x {1..height} exactly.
 
     Checks run in the fixed order block validity, overlap, coverage; the
-    verdict's witness is the offending block index or point.  A block is
-    valid iff it is four points of three ints (bool excluded; one bulk check
-    for all blocks) whose key, the offsets of its sorted points from the
-    least, is a member walk's; a repeated point makes an offset zero or
-    repeats one, which no key does.  Any blocks yield a verdict, never an
-    exception.
+    verdict's witness is the offending block index or point.  Covering has
+    already made each block four points of three ints, so a block is valid
+    iff its key, the offsets of its sorted points from the least, is a
+    member walk's; a repeated point makes an offset zero or repeats one,
+    which no key does.  Any Covering yields a verdict, never an exception.
 
     Coverage is accepted when the distinct points number len(cells) *
     height, each (x, y) is a cell and the least and greatest z lie in
@@ -129,14 +132,11 @@ def verify_covering(covering: Covering) -> Verdict:
     pigeonhole, so memory follows the blocks, never the height.
     """
     blocks = covering.blocks
-    bad = _nested_ints(blocks, 4, 3)
     keys = _family_keys(covering.family)
-    for (a, b, c), (d, e, f), (g, h, i), (j, k, l) in map(sorted, blocks[:bad]):
+    for (a, b, c), (d, e, f), (g, h, i), (j, k, l) in map(sorted, blocks):
         if (d - a, e - b, f - c, g - a, h - b, i - c, j - a, k - b, l - c) not in keys:
             missed = [(a, b, c), (d, e, f), (g, h, i), (j, k, l)]
-            return Verdict(False, "block", list(map(sorted, blocks[:bad])).index(missed))
-    if bad < len(blocks):
-        return Verdict(False, "block", bad)
+            return Verdict(False, "block", list(map(sorted, blocks)).index(missed))
     seen: set[Point3] = set(chain.from_iterable(blocks))
     if len(seen) < 4 * len(blocks):
         # name the first point, in block order, that an earlier block holds
@@ -303,9 +303,9 @@ def covering_to_json(covering: Covering) -> dict:
 
 
 def covering_from_json(obj) -> Covering:
-    """Inverse of covering_to_json; a ValueError names the first block that
-    is not 4 lists of 3 ints, and Covering checks the rest and builds each
-    tuple once.  The result is *not* auto-verified: feed it to verify_covering."""
+    """Inverse of covering_to_json; blocks must be a list, and Covering
+    checks the blocks, cells and family and builds each tuple once.  The
+    result is *not* auto-verified: feed it to verify_covering."""
     cells = shape_from_json(obj)
     try:
         height = obj["height"]
@@ -315,10 +315,6 @@ def covering_from_json(obj) -> Covering:
         raise ValueError(f"covering JSON missing field: {exc}") from None
     if not isinstance(blocks, list):
         raise ValueError("blocks must be a list")
-    i = _nested_ints(blocks, 4, 3)
-    if i < len(blocks):
-        raise ValueError(f"a block must be 4 lists of 3 integers, got block {i}: "
-                         f"{_QUOTE.repr(blocks[i])}")
     return Covering(cells, height, blocks, family)
 
 

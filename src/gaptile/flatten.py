@@ -70,10 +70,10 @@ def flatten_blocks(pairs: Sequence[tuple[NiceLayer, Covering]], d: int, r: int,
 
     Each distinct (layer, covering) pair is checked and mapped once: its
     block points must lie in slices 1..l, and each block must flatten to
-    the stack's gap multiset, that of its first block, which must be three
-    positive gaps; translation keeps gaps, and a mismatch raises
-    InternalInconsistency.  Positive gaps make the sorted values strictly
-    increase, so every copy is emitted as a plain 4-tuple.  That the copies
+    the stack's gap multiset, that of its first block, whose three gaps (a
+    Covering block is four points) must be positive; translation keeps
+    gaps, and a mismatch raises InternalInconsistency.  Positive gaps make
+    the sorted values strictly increase, so each copy is a plain 4-tuple.  That the copies
     are disjoint and cover their target, and that the gaps are the
     {p, q, r} asked for, verify_tiling checks over every part tile() emits.
     """
@@ -130,7 +130,7 @@ def _pattern(layer: NiceLayer, cov: Covering, d: int, r: int,
         values.sort()
         got = tuple(sorted(b - a for a, b in pairwise(values)))
         if gaps is None:
-            if len(got) != 3 or got[0] < 1:
+            if got[0] < 1:
                 raise InternalInconsistency(
                     f"first flattened block {blk} has gaps {got}, not three positive gaps")
             gaps = got

@@ -4,12 +4,14 @@ from itertools import accumulate, chain, permutations
 import pytest
 from hypothesis import example, given, strategies as st
 
+from gaptile import blocks3d
 from gaptile.blocks3d import (
     BASE_IDS, Block, Covering, axis_family, base_covering, covering_S3,
     covering_from_json, covering_to_json, skew_family, verify_covering,
 )
 from gaptile.core import Verdict, _nested_ints
 from gaptile.layers import layer_x1, layer_x2, layer_y1, layer_y2
+from test_core import _shaped, reference_nested_ints
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 AXIS = (E1, E2, E3)
@@ -45,6 +47,12 @@ def one_block(points, family):
     """A covering whose only block is the given points; verify_covering
     judges the block before it looks at the cells and the height."""
     return Covering({(1, 1)}, 1, [points], family)
+
+
+def block_error(index):
+    """The message Covering raises for a block that is not four points of
+    three ints, up to the quoted block."""
+    return rf"^a block must be 4 lists of 3 integers, got block {index}: "
 
 
 def steps(block):
@@ -84,9 +92,13 @@ class TestIsBlock:
         assert rejected_block([(0, 0, 0), (1, 0, 0), (1, -1, 0), (1, -1, 1)])
 
     def test_wrong_cardinality(self):
-        assert rejected_block([(0, 0, 0), (1, 0, 0), (1, 1, 0)])
+        # four points with one repeated are stored and judged by their key;
+        # three or five points cannot be stored
         assert rejected_block([(0, 0, 0), (0, 0, 0), (1, 0, 0), (1, 1, 0)])
-        assert rejected_block([(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 1, 1)])
+        with pytest.raises(ValueError, match=block_error(0)):
+            one_block([(0, 0, 0), (1, 0, 0), (1, 1, 0)], (AXIS,))
+        with pytest.raises(ValueError, match=block_error(0)):
+            one_block([(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 1, 1)], (AXIS,))
 
     @pytest.mark.parametrize("points", [
         [(1, 1), (1, 2), (1, 3), (1, 4)],
@@ -96,13 +108,9 @@ class TestIsBlock:
         [5, (1, 2, 1), (2, 2, 1), (2, 2, 2)],
     ], ids=["2d", "4d", "str", "none", "not-a-point"])
     def test_points_must_be_triples(self, points):
-        # a point that is no sequence cannot even be stored; any other
-        # point that is not three ints is a rejected block
-        if isinstance(points[0], tuple):
-            assert rejected_block(points)
-        else:
-            with pytest.raises(ValueError):
-                one_block(points, (AXIS,))
+        # a point that is not three ints cannot be stored
+        with pytest.raises(ValueError, match=block_error(0)):
+            one_block(points, (AXIS,))
 
 
 MEMBERS = [m for k in (1, 2, 3) for m in axis_family(k) + skew_family(k, k + 1)] + [
@@ -140,8 +148,12 @@ class TestIsBlockReference:
     @example(([(0, 0, 0), (1, 0, 0), (0, 0, 0), (0, 0, 1)], MEMBERS[-2]))  # a revisiting walk
     def test_matches_walk_search(self, case):
         # verify_covering rejects the block exactly when the walk search
-        # finds no walk
+        # finds no walk; anything but four points cannot be stored
         points, member = case
+        if len(points) != 4:
+            with pytest.raises(ValueError, match=block_error(0)):
+                one_block(points, (member,))
+            return
         v = verify_covering(one_block(points, (member,)))
         assert (v.reason == "block") == (is_block_by_walks(points, member) is None)
 
@@ -292,13 +304,10 @@ def verify_covering_with_frozensets(covering):
     """Reference: verify_covering as it was before keys and the bulk
     coverage check, a frozenset per block and a scan of every point."""
     blocks = covering.blocks
-    bad = _nested_ints(blocks, 4, 3)
     shapes = frozenset_shapes(covering.family)
-    for index, block in enumerate(blocks[:bad]):
+    for index, block in enumerate(blocks):
         if frozenset_shape(block) not in shapes:
             return Verdict(False, "block", index)
-    if bad < len(blocks):
-        return Verdict(False, "block", bad)
     points = list(chain.from_iterable(blocks))
     seen = set(points)
     if len(seen) < len(points):
@@ -422,6 +431,15 @@ def listed(cov):
                     [[list(v) for v in member] for member in cov.family])
 
 
+S1_BLOCKS = base_covering("S1").blocks + tuple(
+    [list(pt) for pt in blk] for blk in base_covering("S1").blocks)
+
+
+def four_repeated(block):
+    """The one malformed reshape Covering stores: four points, one twice."""
+    return block[:3] + block[:1]
+
+
 class TestPlainBlocks:
     @pytest.mark.parametrize("name", BASE_IDS)
     def test_list_points_store_as_tuples(self, name):
@@ -438,7 +456,7 @@ class TestPlainBlocks:
     @pytest.mark.parametrize("index", [0, 2])
     @pytest.mark.parametrize("reshape", [
         lambda b: b[:3], lambda b: b + b[:1], lambda b: b + ((9, 9, 9),),
-        lambda b: b[:3] + b[:1], lambda b: (),
+        four_repeated, lambda b: (),
         lambda b: tuple(pt[:2] for pt in b),
         lambda b: (b[0][:2],) + b[1:], lambda b: (b[0] + (0,),) + b[1:],
         lambda b: ((str(b[0][0]),) + b[0][1:],) + b[1:],
@@ -448,20 +466,80 @@ class TestPlainBlocks:
     ], ids=["three", "five-repeated", "five-distinct", "four-repeated", "empty",
             "planar", "2d-point", "4d-point", "str-point", "none-point", "bool-point"])
     def test_malformed_block_rejected_with_its_index(self, index, reshape):
+        # four points of three ints, one repeated, are stored and get a
+        # block verdict; any other block cannot be stored
         cov = base_covering("S1")
         blocks = list(cov.blocks)
         blocks[index] = reshape(blocks[index])
+        if reshape is not four_repeated:
+            with pytest.raises(ValueError, match=block_error(index)):
+                Covering(cov.cells, cov.height, blocks, cov.family)
+            return
         v = verify_covering(Covering(cov.cells, cov.height, blocks, cov.family))
         assert (v.ok, v.reason, v.witness) == (False, "block", index)
 
     def test_earlier_invalid_block_named_first(self):
-        # a wrong walk at index 1 comes before a mistyped point at index 2
+        # the construction check runs before any walk check: of a wrong
+        # walk at index 1 and mistyped points at 2 and 3, Covering names 2
         cov = base_covering("S1")
-        blocks = [list(blk) for blk in cov.blocks]
+        blocks = [list(blk) for blk in cov.blocks] + [list(cov.blocks[0])]
         blocks[1] = [(9, 9, 9), (9, 9, 10), (9, 9, 11), (9, 9, 12)]
         blocks[2][0] = (1, 1)
+        blocks[3][0] = (1, 1)
+        with pytest.raises(ValueError, match=block_error(2) + r"\[\(1, 1\), "):
+            Covering(cov.cells, cov.height, blocks, cov.family)
+        blocks[2:] = cov.blocks[2:]
         v = verify_covering(Covering(cov.cells, cov.height, blocks, cov.family))
         assert (v.ok, v.reason, v.witness) == (False, "block", 1)
+
+    @given(st.lists(st.sampled_from(S1_BLOCKS) | _shaped((4, 3)), max_size=6), st.booleans())
+    @example([S1_BLOCKS[0], [[1, 1], [1, 2], [2, 2], [2, 2]]], True)
+    def test_one_block_check(self, blocks, bad_cell):
+        # Covering names the first block that is not four lists or tuples
+        # of three ints, before it looks at the cells, as a covering
+        # document's reader always has; any Covering it builds gets a
+        # verdict, the frozenset reference's
+        s1 = base_covering("S1")
+        cells = [*sorted(s1.cells), ("a", 1)] if bad_cell else s1.cells
+        first = next((i for i, blk in enumerate(blocks)
+                      if not reference_nested_ints(blk, (4, 3))), None)
+        if first is not None:
+            with pytest.raises(ValueError, match=block_error(first)):
+                Covering(cells, s1.height, blocks, s1.family)
+        elif bad_cell:
+            with pytest.raises(ValueError, match="^a cell must be two integers"):
+                Covering(cells, s1.height, blocks, s1.family)
+        else:
+            cov = Covering(cells, s1.height, blocks, s1.family)
+            got, want = verify_covering(cov), verify_covering_with_frozensets(cov)
+            assert isinstance(got, Verdict)
+            assert (got.ok, got.reason, got.witness) == (want.ok, want.reason, want.witness)
+
+    def test_block_check_runs_once_per_covering(self, monkeypatch):
+        # a layer builder's Covering checks its blocks once, and certifying
+        # it checks them no more
+        calls, built, verified = [], [], []
+        post_init, verify = Covering.__post_init__, blocks3d.verify_covering
+
+        def counted(values, *lengths):
+            calls.append(lengths)
+            return _nested_ints(values, *lengths)
+
+        def counted_post_init(cov):
+            built.append(cov)
+            post_init(cov)
+
+        def counted_verify(cov):
+            verified.append(cov)
+            return verify(cov)
+
+        monkeypatch.setattr(blocks3d, "_nested_ints", counted)
+        monkeypatch.setattr(Covering, "__post_init__", counted_post_init)
+        monkeypatch.setattr(blocks3d, "verify_covering", counted_verify)
+        _, cov = layer_x1(1, 300)
+        assert len(cov.blocks) == 6000
+        assert verified[-1] is cov is built[-1]
+        assert calls == [(4, 3), (2,), (3, 3)] * len(built)
 
     @pytest.mark.parametrize("family", [
         [((1, 0), (0, 1), (0, 0))],

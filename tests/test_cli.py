@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaptile import cli
+from gaptile import blocks3d, cli
 from gaptile.assemble import tile
 from gaptile.blocks3d import BASE_IDS, base_covering, covering_to_json, verify_covering, \
     covering_from_json
@@ -370,6 +370,22 @@ def test_layer_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, "verify-covering", str(path))
     assert code == 0
     assert out.strip() == "accept"
+
+
+def test_verify_covering_checks_blocks_once(tmp_path, capsys, monkeypatch):
+    # the document's reader and verify_covering leave the block check to
+    # the one Covering they build
+    path = tmp_path / "x1.json"
+    path.write_text(json.dumps(covering_to_json(layer_x1(1, 300)[1])))
+    calls, nested_ints = [], blocks3d._nested_ints
+
+    def counted(values, *lengths):
+        calls.append(lengths)
+        return nested_ints(values, *lengths)
+
+    monkeypatch.setattr(blocks3d, "_nested_ints", counted)
+    assert run(capsys, "verify-covering", str(path)) == (0, "accept\n", "")
+    assert calls == [(4, 3), (2,), (3, 3)]
 
 
 def test_layer_bad_parameters(capsys):

@@ -184,15 +184,19 @@ class TestFlattenBlocks:
         with pytest.raises(ValueError, match="differs from the stack family"):
             flatten_blocks([(layer, cov), (layer, relabelled)], 1, 100)
 
-    @pytest.mark.parametrize("first", [
-        lambda blk: blk[:3],
-        lambda blk: (blk[0], blk[0], blk[1], blk[2]),
+    @pytest.mark.parametrize("first,error", [
+        (lambda blk: blk[:3],
+         (ValueError, "^a block must be 4 lists of 3 integers, got block 0: ")),
+        (lambda blk: (blk[0], blk[0], blk[1], blk[2]),
+         (InternalInconsistency, "not three positive gaps")),
     ], ids=["three_points", "repeated_point"])
-    def test_first_block_needs_three_positive_gaps(self, first):
+    def test_first_block_needs_three_positive_gaps(self, first, error):
+        # three points cannot be stored in a Covering; a repeated point
+        # flattens to a zero gap
         layer, cov = layer_x1(1, 2)
-        bad = Covering(cov.cells, cov.height, (first(cov.blocks[0]),) + cov.blocks[1:],
-                       cov.family)
-        with pytest.raises(InternalInconsistency, match="not three positive gaps"):
+        with pytest.raises(error[0], match=error[1]):
+            bad = Covering(cov.cells, cov.height, (first(cov.blocks[0]),) + cov.blocks[1:],
+                           cov.family)
             flatten_blocks([(layer, bad), (layer, cov)], 1, 100)
 
     def test_empty_stack_rejected(self):
