@@ -9,7 +9,6 @@ short, else with its own code, and writes nothing to stderr.
 from __future__ import annotations
 
 import argparse
-import functools
 import gc
 import json
 import os
@@ -61,55 +60,46 @@ def _cmd_tile(args) -> int:
     return 0
 
 
-def _collector_paused(command):
-    """Run command with the cyclic garbage collector paused, and leave the
-    collector as it was found on every way out.
+def _judged(path: str, read, judge) -> int:
+    """Read the document at path, judge what read made of it, print the
+    verdict, and exit 0 on accept, else 2; a document read cannot take is
+    a malformed-input reject.
 
-    A verifier reads a JSON document into lists and dicts, builds tuples and
-    frozensets from them, and marks what it has seen in a bytearray or a
-    set.  None of this holds a reference cycle, so reference counting frees
-    all of it once the command returns, and the collector's passes only walk
-    the live document: about a quarter of a `gaptile verify`.  The pause
-    covers the whole command, not just the read, so nothing the command
-    built is alive when the collector resumes.  Only the two verifiers are
-    paused: their memory is bounded by the document they read, whereas
-    `tile` spends about 2 % of its time collecting and the oracle's searches
-    are bounded by no document.
+    The cyclic garbage collector is paused throughout and left as it was
+    found on every way out.  A verifier reads a JSON document into lists
+    and dicts, builds tuples and frozensets from them, and marks what it
+    has seen in a bytearray or a set.  None of this holds a reference
+    cycle, so reference counting frees all of it once the command returns,
+    and the collector's passes only walk the live document: about a
+    quarter of a `gaptile verify`.  The pause covers the whole command, not
+    just the read, so nothing the command built is alive when the
+    collector resumes.  Only the two verifiers are paused: their memory is
+    bounded by the document they read, whereas `tile` spends about 2 % of
+    its time collecting and the oracle's searches are bounded by no
+    document.
     """
-    @functools.wraps(command)
-    def paused(args) -> int:
-        enabled = gc.isenabled()
-        gc.disable()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
         try:
-            return command(args)
-        finally:
-            if enabled:
-                gc.enable()
-    return paused
+            value = read(_read_json(path))
+        except (ValueError, OSError) as exc:
+            print(f"reject: malformed input ({exc})")
+            return 2
+        verdict = judge(value)
+        print(verdict.message())
+        return 0 if verdict else 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
-@_collector_paused
 def _cmd_verify(args) -> int:
-    try:
-        gaps, tiling = tiling_from_json(_read_json(args.file))
-    except (ValueError, OSError) as exc:
-        print(f"reject: malformed input ({exc})")
-        return 2
-    verdict = verify_tiling(tiling, gaps)
-    print(verdict.message())
-    return 0 if verdict else 2
+    return _judged(args.file, tiling_from_json, lambda pair: verify_tiling(pair[1], pair[0]))
 
 
-@_collector_paused
 def _cmd_verify_covering(args) -> int:
-    try:
-        covering = covering_from_json(_read_json(args.file))
-    except (ValueError, OSError) as exc:
-        print(f"reject: malformed input ({exc})")
-        return 2
-    verdict = verify_covering(covering)
-    print(verdict.message())
-    return 0 if verdict else 2
+    return _judged(args.file, covering_from_json, verify_covering)
 
 
 def _cmd_threshold(args) -> int:

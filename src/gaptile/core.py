@@ -148,21 +148,15 @@ def verify_tiling(tiling: Tiling, gaps: GapSequence) -> Verdict:
     order.
 
     An element is an integer when its type is int, so a bool is not one.
-    When the parts hold exactly as many elements as [lo, hi] has integers,
-    one store-only pass marks each in a bytearray indexed by x - lo and
-    stops at the first element that is not an integer of [lo, hi], so a
-    negative index never wraps to the end.  If every slot is then marked,
-    the parts are disjoint and cover [lo, hi] by pigeonhole, and each
-    integer has been read once.  Every other candidate is a reject, and
-    its elements are walked again only to name the witness: integers of
-    [lo, hi] are marked in a bytearray, every other real number goes into
-    a set, and an element that is not an integer counts as stray.  An
-    element that is not a real number, or is a bool, is never subtracted,
-    compared or hashed: it is only kept, in the order met, as a stray.
-    Each bytearray spans at most (number of elements + 1) integers, so
-    memory follows the input, not the interval: an interval longer than
-    that cannot be covered, and by pigeonhole its smallest missing integer
-    lies inside the bytearray.
+    One cover walk judges disjointness and coverage: integers of [lo, hi]
+    are marked in a bytearray indexed by x - lo, every other real number
+    goes into a set, and an element that is not an integer counts as
+    stray.  An element that is not a real number, or is a bool, is never
+    subtracted, compared or hashed: it is only kept, in the order met, as
+    a stray.  The bytearray spans at most (number of elements + 1)
+    integers, so memory follows the input, not the interval: an interval
+    longer than that cannot be covered, and by pigeonhole its smallest
+    missing integer lies inside the bytearray.
 
     The gaps of a part are its tuple of consecutive differences, taken
     column by column over the parts up to the first of another length.
@@ -171,43 +165,46 @@ def verify_tiling(tiling: Tiling, gaps: GapSequence) -> Verdict:
     stops at the first part with the wrong gaps, else at the first part
     of another length.
 
-    When every part has four elements, as in every tiling tile() builds,
-    and the parts hold exactly as many elements as [lo, hi] has integers,
-    one loop over the parts does both passes: it unpacks each part, checks
-    that its four elements are integers of [lo, hi], marks them, and looks
-    its three differences up in the same table until the first mismatch.
-    A part of another length (a 3-part beside a 5-part, say) hands the
-    candidate to the two passes above, as does any other element count.
-    Both ways give the same verdict, reason and witness.
+    When [lo, hi] has four integers per part, as in every tiling tile()
+    builds, one loop over the parts first tries both passes at once: it
+    unpacks each part into four integers of [lo, hi], marks them in a
+    bytearray, and looks the three differences up in the same table until
+    the first mismatch.  If every slot is then marked, the parts partition
+    [lo, hi] by pigeonhole, and the loop accepts or names the gaps reject.
+    It names no other verdict: a part of another length, an element that
+    is not an integer of [lo, hi], or an unmarked slot hands the candidate
+    to the cover walk and the column pass.  So a fast pass only accepts or
+    names a gaps reject, and every disjointness and coverage verdict comes
+    from the one cover walk.
     """
     lo, hi = tiling.lo, tiling.hi
     parts = tiling.parts
-    size = sum(map(len, parts))
-    if size == max(0, hi - lo + 1) == 4 * len(parts):
-        verdict = _four_set_verdict(parts, lo, hi, size, gaps.gaps)
+    if 4 * len(parts) == hi - lo + 1:
+        verdict = _four_set_verdict(parts, lo, hi, gaps.gaps)
         if verdict is not None:
             return verdict
-    return _column_verdict(parts, lo, hi, size, gaps.gaps)
+    return _column_verdict(parts, lo, hi, gaps.gaps)
 
 
-def _four_set_verdict(parts: tuple[Part, ...], lo: int, hi: int, size: int,
+def _four_set_verdict(parts: tuple[Part, ...], lo: int, hi: int,
                       want: tuple[int, ...]) -> Verdict | None:
-    """verify_tiling's verdict on parts holding size = hi - lo + 1 elements,
-    four to a part, in one loop per part; None when some part does not have
-    four elements, as a 3-part beside a 5-part, for _column_verdict to judge.
+    """verify_tiling's verdict on len(parts) = (hi - lo + 1) / 4 parts of
+    four integers of [lo, hi] that mark every slot, in one loop per part:
+    the accept, or the gaps reject of the first part with the wrong gaps.
 
-    Each part's elements must be integers of [lo, hi] (else the cover
-    reject) and are marked in a bytearray; the part's consecutive
-    differences are looked up in the gap table until the first mismatch.
+    None for every other candidate (an element that is not an integer of
+    [lo, hi], a part of another length, or a slot left unmarked), which
+    _column_verdict then judges, so a guard here that is too strict costs
+    speed, never a traceback or a wrong verdict.
     """
-    marked = bytearray(size)
+    marked = bytearray(hi - lo + 1)
     mismatch = _GapMismatch(want)
     witness = None
     try:
         for a, b, c, d in parts:
             if not (int is type(a) is type(b) is type(c) is type(d)
                     and lo <= a <= hi and lo <= b <= hi and lo <= c <= hi and lo <= d <= hi):
-                return _cover_reject(parts, lo, hi, size)
+                return None
             marked[a - lo] = marked[b - lo] = marked[c - lo] = marked[d - lo] = 1
             if witness is None and mismatch[b - a, c - b, d - c]:
                 witness = min(a, b, c, d)
@@ -215,16 +212,17 @@ def _four_set_verdict(parts: tuple[Part, ...], lo: int, hi: int, size: int,
         # raised only by unpacking a part of another length
         return None
     if marked.find(0) >= 0:
-        return _cover_reject(parts, lo, hi, size)
+        return None
     return Verdict(True) if witness is None else Verdict(False, "gaps", witness)
 
 
-def _column_verdict(parts: tuple[Part, ...], lo: int, hi: int, size: int,
+def _column_verdict(parts: tuple[Part, ...], lo: int, hi: int,
                     want: tuple[int, ...]) -> Verdict:
-    """verify_tiling's verdict on any parts holding size elements: one
-    exact-cover pass over the elements, then the gaps column by column."""
-    if size != max(0, hi - lo + 1) or not _exact_cover(parts, lo, size):
-        return _cover_reject(parts, lo, hi, size)
+    """verify_tiling's verdict on any parts: the cover walk, then the gaps
+    column by column."""
+    verdict = _cover_verdict(parts, lo, hi)
+    if verdict is not None:
+        return verdict
     k = len(want) + 1
     # parts[:j] is parts itself, not a copy, when every part has k elements
     j = next(compress(count(), map(ne, map(len, parts), repeat(k))), len(parts))
@@ -235,21 +233,10 @@ def _column_verdict(parts: tuple[Part, ...], lo: int, hi: int, size: int,
     return Verdict(False, "gaps", min(parts[bad]))
 
 
-def _exact_cover(parts: tuple[Part, ...], lo: int, n: int) -> bool:
-    """Whether the parts' n elements are the n integers lo .. lo + n - 1:
-    one store-only marking pass, every slot marked means no repeat."""
-    marked = bytearray(n)
-    for x in chain.from_iterable(parts):
-        if type(x) is not int or not 0 <= (i := x - lo) < n:
-            return False
-        marked[i] = 1
-    return marked.find(0) < 0
-
-
-def _cover_reject(parts: tuple[Part, ...], lo: int, hi: int, size: int) -> Verdict:
-    """The disjointness or coverage reject of parts, holding size elements
-    in all, that do not partition [lo, hi]."""
-    window = max(0, min(hi - lo + 1, size + 1))
+def _cover_verdict(parts: tuple[Part, ...], lo: int, hi: int) -> Verdict | None:
+    """None when the parts partition [lo, hi], else their disjointness or
+    coverage reject."""
+    window = max(0, min(hi - lo + 1, sum(map(len, parts)) + 1))
     marked = bytearray(window)
     others: set = set()
     strays: list = []
@@ -269,8 +256,9 @@ def _cover_reject(parts: tuple[Part, ...], lo: int, hi: int, size: int) -> Verdi
     missing = marked.find(0)
     if missing >= 0:
         mismatches.append(lo + missing)
-    # no repeat was met, so some integer is missing or some element stray
-    return Verdict(False, "coverage", min(mismatches) if mismatches else strays[0])
+    if mismatches:
+        return Verdict(False, "coverage", min(mismatches))
+    return Verdict(False, "coverage", strays[0]) if strays else None
 
 
 def _differences(parts: tuple[Part, ...], k: int):

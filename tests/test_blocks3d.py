@@ -270,6 +270,11 @@ class TestVerifyCoveringReference:
         want = verify_covering_with_sets(cov)
         assert (got.ok, got.reason, got.witness) == (want.ok, want.reason, want.witness)
 
+    def test_no_cells_no_blocks_accepts(self):
+        # no z at all: the bulk z bounds must hold on the empty set
+        v = verify_covering(Covering(frozenset(), 1, (), axis_family(1)))
+        assert (v.ok, v.reason, v.witness) == (True, "", None)
+
     def test_huge_height_memory_follows_blocks(self):
         s1 = base_covering("S1")
         cov = Covering(s1.cells, 10**12, s1.blocks, s1.family)

@@ -2,7 +2,7 @@ import functools
 import json
 import tracemalloc
 from enum import IntEnum
-from itertools import compress, count, islice, repeat
+from itertools import compress, count, islice, permutations, repeat
 from numbers import Real
 from operator import itemgetter, ne, sub
 
@@ -317,15 +317,14 @@ def reference_verify_tiling(tiling, gaps):
 def column_verdict(tiling, gaps):
     """verify_tiling's column path, the only path for parts of other
     lengths, run on any candidate."""
-    size = sum(map(len, tiling.parts))
-    return gaptile.core._column_verdict(tiling.parts, tiling.lo, tiling.hi, size, gaps.gaps)
+    return gaptile.core._column_verdict(tiling.parts, tiling.lo, tiling.hi, gaps.gaps)
 
 
 def four_set_verdict(tiling, gaps):
-    """verify_tiling's 4-set path, or None where it does not apply."""
-    size = sum(map(len, tiling.parts))
-    assert size == tiling.length == 4 * len(tiling.parts)
-    return gaptile.core._four_set_verdict(tiling.parts, tiling.lo, tiling.hi, size, gaps.gaps)
+    """verify_tiling's 4-set path: an accept, a gaps reject, or None where
+    it hands the candidate to the column path."""
+    assert tiling.length == 4 * len(tiling.parts)
+    return gaptile.core._four_set_verdict(tiling.parts, tiling.lo, tiling.hi, gaps.gaps)
 
 
 def threes_tiling():
@@ -509,8 +508,8 @@ class TestVerifyTilingAgainstLookupReference:
         (Tiling(5, 4, ()), (True, "", None)),
         (Tiling(5, 2, ()), (True, "", None)),
         (Tiling(5, 4, parts([5, 6, 7, 8])), (False, "coverage", 5)),
-        # as many elements as the interval has integers, so the exact-cover
-        # pass runs: the offset -1 of 0 would wrap to the last slot
+        # four integers of the interval per part, so the 4-set loop runs:
+        # the offset -1 of 0 would wrap to the last slot
         (Tiling(1, 4, ((0, 1, 2, 3),)), (False, "coverage", 0)),
         # 4 twice and 8 missing, the repeat in the first part or the last
         (Tiling(1, 8, parts([1, 2, 3, 4], [4, 5, 6, 7])), (False, "disjointness", 4)),
@@ -560,7 +559,7 @@ FOUR_SET_TAMPERINGS = ("trade", "duplicate", "out_of_range", "bool", "float", "r
 def four_set_candidates(draw):
     """An accepted tiling by 4-sets with its parts shuffled, then up to four
     changes that keep four elements to a part and as many elements as the
-    interval has integers, so the 4-set pass judges it: two elements traded
+    interval has integers, so the 4-set pass runs on it: two elements traded
     between parts; an element replaced by another part's element, by an
     integer outside [lo, hi], by a bool or by a float; other gaps.  Each
     changed part is re-sorted or not."""
@@ -592,21 +591,37 @@ def four_set_candidates(draw):
 
 
 class TestFourSetPath:
-    """verify_tiling judges 4-sets that hold as many elements as the interval
-    in one loop per part, with the column path's verdict, reason and witness;
-    every other candidate goes to the column path."""
+    """verify_tiling judges 4-sets that partition the interval in one loop
+    per part, with the column path's accept or gaps reject; every other
+    candidate, a cover reject included, goes to the column path."""
 
     @settings(max_examples=300, deadline=None)
     @given(four_set_candidates())
     def test_matches_column_path(self, case):
         tiling, gaps = case
         got = four_set_verdict(tiling, gaps)
-        assert got is not None
-        assert verdict_key(got) == verdict_key(verify_tiling(tiling, gaps))
-        assert verdict_key(got) == verdict_key(column_verdict(tiling, gaps))
+        want = column_verdict(tiling, gaps)
+        assert verdict_key(verify_tiling(tiling, gaps)) == verdict_key(want)
+        if got is None:
+            assert want.reason in ("disjointness", "coverage")
+        else:
+            assert got.ok or got.reason == "gaps"
+            assert verdict_key(got) == verdict_key(want)
         # the reference takes a bool for the int it equals
         if not any(type(x) is bool for part in tiling.parts for x in part):
-            assert verdict_key(got) == verdict_key(reference_verify_tiling(tiling, gaps))
+            assert verdict_key(want) == verdict_key(reference_verify_tiling(tiling, gaps))
+
+    @pytest.mark.parametrize("part", permutations((1, 2, 3, 4)),
+                             ids=lambda part: "".join(map(str, part)))
+    def test_every_order_of_the_interval_is_judged_in_the_loop(self, part):
+        # lo and hi in every slot of the one part: each bound check must
+        # admit them, and the loop names the verdict itself
+        tiling, g = Tiling(1, 4, (part,)), triple(1, 1, 1)
+        got = four_set_verdict(tiling, g)
+        assert got is not None
+        assert verdict_key(got) == verdict_key(column_verdict(tiling, g))
+        assert verdict_key(got) == verdict_key(reference_verify_tiling(tiling, g))
+        assert (got.ok, got.reason) == ((True, "") if part == (1, 2, 3, 4) else (False, "gaps"))
 
     def test_mixed_lengths_take_the_column_path(self):
         # eight elements in two parts, but a 3-part beside a 5-part
@@ -623,9 +638,9 @@ class TestFourSetPath:
     ])
     def test_bool_in_a_four_part_is_a_stray(self, tiling, witness):
         g = triple(1, 1, 1)
-        v = four_set_verdict(tiling, g)
+        assert four_set_verdict(tiling, g) is None
+        v = verify_tiling(tiling, g)
         assert verdict_key(v) == (False, "coverage", int, witness)
-        assert verdict_key(v) == verdict_key(verify_tiling(tiling, g))
         assert verdict_key(v) == verdict_key(column_verdict(tiling, g))
 
     @pytest.mark.parametrize("tiling,witness", [
@@ -637,10 +652,32 @@ class TestFourSetPath:
     ])
     def test_element_below_lo_is_a_coverage_reject(self, tiling, witness):
         g = triple(1, 1, 1)
-        v = four_set_verdict(tiling, g)
+        assert four_set_verdict(tiling, g) is None
+        v = verify_tiling(tiling, g)
         assert (v.ok, v.reason, v.witness) == (False, "coverage", witness)
-        assert verdict_key(v) == verdict_key(verify_tiling(tiling, g))
         assert verdict_key(v) == verdict_key(reference_verify_tiling(tiling, g))
+
+
+class TestCoverVerdict:
+    """The cover walk is None exactly when the parts partition [lo, hi],
+    and otherwise names verify_tiling's verdict."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(tampered_tilings(), four_set_candidates()))
+    @example((Tiling(5, 4, ()), triple(1, 1, 1)))
+    @example((Tiling(1, 4, ((True, 2, 3, 4),)), triple(1, 1, 1)))
+    @example((Tiling(1, 4, ((1, 2, 3, 4), (True,))), triple(1, 1, 1)))
+    def test_none_exactly_on_a_partition(self, case):
+        tiling, gaps = case
+        elements = [x for part in tiling.parts for x in part]
+        partition = (all(type(x) is int for x in elements)
+                     and sorted(elements) == list(range(tiling.lo, tiling.hi + 1)))
+        got = gaptile.core._cover_verdict(tiling.parts, tiling.lo, tiling.hi)
+        if partition:
+            assert got is None
+        else:
+            assert got.reason in ("disjointness", "coverage")
+            assert verdict_key(got) == verdict_key(verify_tiling(tiling, gaps))
 
 
 class TestNonNumericElements:
