@@ -32,10 +32,8 @@ from .blocks3d import (
     verify_covering,
 )
 from .layers import NiceLayer, layer_x1, layer_x2, layer_y1, layer_y2
-from .flatten import flatten_blocks
 from .assemble import (
     PlanParameters,
-    build_T,
     plan,
     threshold,
     tile,
@@ -47,10 +45,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BASE_IDS", "BUDGET_EXHAUSTED", "Block", "Covering", "GapSequence",
     "InternalInconsistency", "NiceLayer", "Part", "PlanParameters",
-    "SearchBudget", "Tiling", "UnsupportedParameters", "Verdict", "axis_family",
-    "base_covering", "build_T", "covering_S3", "covering_from_json",
-    "covering_to_json", "flatten_blocks", "layer_x1", "layer_x2", "layer_y1",
-    "layer_y2", "min_interval", "plan", "skew_family", "solve_covering",
-    "solve_interval", "threshold", "tile", "tiling_from_json", "tiling_to_json",
-    "verify_covering", "verify_tiling",
+    "SearchBudget", "Tiling", "UnsupportedParameters", "Verdict",
+    "axis_family", "base_covering", "covering_S3", "covering_from_json",
+    "covering_to_json", "layer_x1", "layer_x2", "layer_y1", "layer_y2",
+    "min_interval", "plan", "skew_family", "solve_covering",
+    "solve_interval", "threshold", "tile", "tiling_from_json",
+    "tiling_to_json", "verify_covering", "verify_tiling",
 ]

@@ -28,6 +28,11 @@ by parts with gaps {p, q, r}.  Write s = floor(r/d) and r' = r mod d; the
 d translates T(s + [i <= r']) + i for i = 1..d are pairwise disjoint and
 their union is exactly the interval [d + 1, l*r + d], which is what tile()
 returns after running the verifier over it.
+
+build_T and flatten_blocks are tile()'s internal stack step and check
+nothing: plan() hands them certified layers of one height, and every s
+tile() passes lies in the good window.  verify_tiling, run by tile() over
+every part, is the one check of the stack step's output.
 """
 
 from __future__ import annotations
@@ -120,22 +125,20 @@ def plan(p: int, q: int, r: int) -> PlanParameters:
 
 
 def build_T(params: PlanParameters, s: int, shift: int) -> list[Part]:
-    """Parts tiling T(s) + shift = union_j (d * {1..s} + (j-1) * r + shift).
+    """Parts tiling T(s) + shift = union_j (d * {1..s} + (j-1) * r + shift),
+    unchecked: tile()'s verify_tiling is the one check of its parts.
 
-    s must lie in the good window [(n1 - 1)(n2 - 1), (r - 1 + d)/d]; the
-    upper end is the flattener's injectivity bound.  The stack is count1
-    copies of layer1 then count2 of layer2, the split of s with the least
-    count2: count2 = s * n2^-1 mod n1 and count1 = (s - count2 * n2) / n1.
+    s must lie in the good window [(n1 - 1)(n2 - 1), (r - 1 + d)/d], as
+    every s tile() passes does; the upper end is the flattener's injectivity
+    bound.  The stack is count1 copies of layer1 then count2 of layer2, the
+    split of s with the least count2: count2 = s * n2^-1 mod n1 and
+    count1 = (s - count2 * n2) / n1.
     """
-    d, n1, n2 = params.d, params.n1, params.n2
-    s_min = (n1 - 1) * (n2 - 1)
-    if not (s_min <= s and d * s <= params.r - 1 + d):
-        raise ValueError(
-            f"s={s} outside the good window [{s_min}, (r-1+d)/d] for r={params.r}")
+    n1, n2 = params.n1, params.n2
     count2 = s * pow(n2, -1, n1) % n1
     count1 = (s - count2 * n2) // n1
     return flatten_blocks([params.layer1] * count1 + [params.layer2] * count2,
-                          d, params.r, shift)
+                          params.d, params.r, shift)
 
 
 def tile(p: int, q: int, r: int) -> Tiling:

@@ -60,12 +60,12 @@ class NiceLayer:
         return frozenset(full | {(x, self.b + 1) for x in range(1, self.c + 1)})
 
     def rank(self, x: int, y: int) -> int:
-        """Row-major position of a cell, 1-based; rows fill bottom to top."""
-        if 1 <= y <= self.b and 1 <= x <= self.a:
-            return (y - 1) * self.a + x
-        if y == self.b + 1 and 1 <= x <= self.c:
-            return self.b * self.a + x
-        raise ValueError(f"cell ({x}, {y}) is outside the layer")
+        """Row-major position of a cell, 1-based; rows fill bottom to top.
+        The only per-point guard on tile()'s stack step: a cell outside the
+        layer is a ValueError."""
+        if not (1 <= y <= self.b + 1 and 1 <= x <= (self.a if y <= self.b else self.c)):
+            raise ValueError(f"cell ({x}, {y}) is outside the layer")
+        return (y - 1) * self.a + x
 
 
 def _moved(blocks, w: int, dx: int, dy: int) -> list[Block]:

@@ -12,6 +12,7 @@ from gaptile.core import GapSequence, InternalInconsistency, UnsupportedParamete
     Verdict, verify_tiling
 from gaptile.flatten import flatten_blocks
 from gaptile.layers import layer_x1, layer_x2, layer_y1, layer_y2
+from test_core import gap_multiset
 
 
 def stacked_twice(cov):
@@ -197,13 +198,6 @@ class TestBuildT:
         shifted = build_T(params, 48, 5)
         assert shifted == [tuple(x + 5 for x in p) for p in base]
 
-    def test_outside_good_window(self):
-        params = plan(1, 1, 48)
-        with pytest.raises(ValueError):
-            build_T(params, 47, 0)  # below (n1-1)(n2-1)
-        with pytest.raises(ValueError):
-            build_T(params, 49, 0)  # above (r - 1 + d) / d
-
     @pytest.mark.parametrize("p,q", [
         (1, 1), (2, 3), (1, 2), (1, 3), (2, 5),  # d = 1, both regimes
         (2, 2), (2, 4), (3, 6), (12, 18),        # small regime, d > 1
@@ -293,6 +287,21 @@ class TestTile:
 
     def test_gap_argument_order_irrelevant_for_p_q(self):
         assert tile(2, 1, 56) == tile(1, 2, 56)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.data())
+    def test_tiles_its_interval_by_set_check(self, p, q, data):
+        # the stack step checks nothing, so this check shares no code with
+        # verify_tiling: r runs over two periods d * n1 past the threshold,
+        # every residue of r mod d among them
+        params = plan(p, q, threshold(p, q))
+        d, n1 = params.d, params.n1
+        r = threshold(p, q) + data.draw(st.integers(0, 2 * d * n1 - 1), label="k")
+        tiling = tile(p, q, r)
+        assert (tiling.lo, tiling.hi) == (d + 1, params.height * r + d)
+        assert sorted(x for part in tiling.parts for x in part) == \
+            list(range(tiling.lo, tiling.hi + 1))
+        assert all(gap_multiset(part) == tuple(sorted((p, q, r))) for part in tiling.parts)
 
     def test_remainder_interleaving(self):
         # r not divisible by d exercises the enlarged leading copies

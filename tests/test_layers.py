@@ -39,6 +39,17 @@ class TestNiceLayer:
         with pytest.raises(ValueError):
             layer.rank(2, 3)
 
+    @pytest.mark.parametrize("shape", [(3, 2, 1), (3, 2, 0), (3, 2, 4), (1, 0, 1), (2, 3, 3)])
+    def test_rank_rejects_every_cell_outside(self, shape):
+        # rank is the one per-point guard of tile()'s stack step
+        layer = NiceLayer(*shape)
+        cells = layer.cells()
+        for x in range(-1, layer.a + 4):
+            for y in range(-1, layer.b + 4):
+                if (x, y) not in cells:
+                    with pytest.raises(ValueError, match="outside the layer"):
+                        layer.rank(x, y)
+
     def test_partial_row_may_overhang_by_one(self):
         assert NiceLayer(3, 2, 4).size == 10
         with pytest.raises(ValueError):
