@@ -234,6 +234,63 @@ class TestBuildT:
                                 for j in range(1, params.height + 1) for k in range(1, 50)}
 
 
+class TestStackPreconditions:
+    """build_T and flatten_blocks check nothing; what they assume, plan()'s
+    layers and tile()'s choice of s must guarantee."""
+
+    @pytest.mark.parametrize("p,q", [(1, 2), (1, 3), (2, 3), (2, 4), (12, 18)])
+    def test_plan_layers_form_one_stack(self, p, q):
+        params = plan(p, q, threshold(p, q))
+        (layer1, cov1), (layer2, cov2) = params.layer1, params.layer2
+        assert layer1.a == layer2.a
+        assert cov1.height == cov2.height == params.height
+        assert set(cov1.family) == set(cov2.family)
+        for layer, cov in (params.layer1, params.layer2):
+            assert cov.cells == layer.cells()
+            assert all(1 <= z <= cov.height for blk in cov.blocks for _, _, z in blk)
+
+    @pytest.mark.parametrize("p,q,k", [
+        (1, 2, 0), (1, 3, 1),               # big regime, d = 1
+        (2, 3, 0), (2, 2, 1), (12, 18, 5),  # small regime, r mod d != 0 for d > 1
+    ])
+    def test_tile_meets_the_stack_step_preconditions(self, monkeypatch, p, q, k):
+        # r = threshold + k; every s tile() builds lies in the good window,
+        # and every stack it flattens is nonempty, of one width, height and
+        # family, each covering on its own layer's cells, with r at least
+        # the injectivity bound
+        r = threshold(p, q) + k
+        params = plan(p, q, r)
+        d, n1, n2 = params.d, params.n1, params.n2
+        seen_s, seen_stacks = [], []
+        build, flatten = assemble.build_T, assemble.flatten_blocks
+
+        def recording_build(params, s, shift):
+            seen_s.append(s)
+            return build(params, s, shift)
+
+        def recording_flatten(pairs, d, r, shift=0):
+            seen_stacks.append((list(pairs), d, r))
+            return flatten(pairs, d, r, shift)
+
+        monkeypatch.setattr(assemble, "build_T", recording_build)
+        monkeypatch.setattr(assemble, "flatten_blocks", recording_flatten)
+        tile(p, q, r)
+        assert len(seen_s) == len(seen_stacks) == d
+        assert sorted(seen_s) == sorted(r // d + (i <= r % d) for i in range(1, d + 1))
+        assert all((n1 - 1) * (n2 - 1) <= s <= (r - 1 + d) // d for s in seen_s)
+        for pairs, stack_d, stack_r in seen_stacks:
+            assert pairs and (stack_d, stack_r) == (d, r) and d >= 1
+            assert r >= 1 - d + d * sum(layer.size for layer, _ in pairs)
+            distinct = list({id(cov): (layer, cov) for layer, cov in pairs}.values())
+            assert len(distinct) <= 2
+            first_layer, first_cov = pairs[0]
+            for layer, cov in distinct:
+                assert layer.a == first_layer.a
+                assert cov.height == first_cov.height == params.height
+                assert set(cov.family) == set(first_cov.family)
+                assert cov.cells == layer.cells()
+
+
 class TestTile:
     @pytest.mark.parametrize("p,q,r,length", [
         (1, 1, 48, 192),     # near, d=1
