@@ -18,9 +18,9 @@ In both regimes gcd(n1, n2) = 1, so by the two-coin bound every s with
 s = count1 * n1 + count2 * n2; the upper end of that window is exactly the
 injectivity bound of the flattening map.  The split with the least count2
 is closed form: count2 = s * n2^-1 mod n1, and count1 = (s - count2 * n2)
-/ n1 is nonnegative throughout the window.  build_T stacks it as the list
-of layer pairs [layer1] * count1 + [layer2] * count2 (both layers of a
-regime share one height l, which plan() checks) and flattening it tiles
+/ n1 is nonnegative throughout the window.  build_T stacks it as the two
+runs (layer1, count1), (layer2, count2) (both layers of a regime share one
+height l, which plan() checks) and flattening them tiles
 
     T(s) = union_j (d * {1..s} + (j - 1) * r),    j = 1..l
 
@@ -130,14 +130,14 @@ def build_T(params: PlanParameters, s: int, shift: int) -> list[Part]:
 
     s must lie in the good window [(n1 - 1)(n2 - 1), (r - 1 + d)/d], as
     every s tile() passes does; the upper end is the flattener's injectivity
-    bound.  The stack is count1 copies of layer1 then count2 of layer2, the
-    split of s with the least count2: count2 = s * n2^-1 mod n1 and
-    count1 = (s - count2 * n2) / n1.
+    bound.  The stack is two runs, count1 copies of layer1 then count2 of
+    layer2, the split of s with the least count2 (which may be 0):
+    count2 = s * n2^-1 mod n1 and count1 = (s - count2 * n2) / n1.
     """
     n1, n2 = params.n1, params.n2
     count2 = s * pow(n2, -1, n1) % n1
     count1 = (s - count2 * n2) // n1
-    return flatten_blocks([params.layer1] * count1 + [params.layer2] * count2,
+    return flatten_blocks(((params.layer1, count1), (params.layer2, count2)),
                           params.d, params.r, shift)
 
 

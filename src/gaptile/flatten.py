@@ -1,9 +1,9 @@
 """Flattening stacked layer coverings into integer parts: tile()'s stack step.
 
-A stack is a list of (NiceLayer, Covering) pairs of one width a, one
-block family and one height l.  Order all cells of the slab by (slice z,
-layer index, row, column), number the cells of one slice 1..s in that order
-(s = cells per slice) and map
+A stack is its runs ((NiceLayer, Covering), count), count copies of one
+layer each, in stack order, of one width a, one block family and one height
+l.  Order all cells of the slab by (slice z, layer index, row, column),
+number the cells of one slice 1..s in that order (s = cells per slice) and map
 
     phi(cell) = d * rank(cell) + (z - 1) * r
 
@@ -24,8 +24,8 @@ multiset per stack, {p, q, r} for a stack of plan()'s layers.
 
 Every copy of a layer in the stack flattens to the same values, shifted by
 d times the copy's start rank, so a flattened stack is a few patterns plus
-offsets: flatten_blocks maps each distinct (layer, covering) pair once and
-emits the copies as translates, each part a plain 4-tuple of integers.
+offsets: flatten_blocks maps each nonempty run once and emits its copies as
+translates, each part a plain 4-tuple of integers.
 
 flatten_blocks checks nothing.  Its preconditions (one width, height and
 family, each covering certified on its own layer's cells, d >= 1 and r at
@@ -38,7 +38,7 @@ The parts come out in increasing order of least element.  A block's least
 value lies in its lowest slice z, and since r exceeds every difference of
 ranks, least values order by (z, start of the copy, rank).  So each pattern
 is split by its blocks' lowest slice, each group sorted once, and the
-groups are emitted slice by slice, each slice's copies in stack order.
+groups are emitted slice by slice, then run by run, then copy by copy.
 """
 
 from __future__ import annotations
@@ -50,38 +50,37 @@ from .core import Part
 from .layers import NiceLayer
 
 
-def flatten_blocks(pairs: Sequence[tuple[NiceLayer, Covering]], d: int, r: int,
-                   shift: int = 0) -> list[Part]:
+def flatten_blocks(runs: Sequence[tuple[tuple[NiceLayer, Covering], int]], d: int,
+                   r: int, shift: int) -> list[Part]:
     """Map every block of the stack through phi, shifted by shift, and
     return the parts.
 
-    pairs are the stack's (NiceLayer, Covering) pairs in stack order, of one
-    width, height and family, each covering certified on its layer's cells;
-    d >= 1 and r >= 1 - d + d*s.  None of this is checked here: tile()'s
-    verify_tiling is the one check of what the stack yields.
+    runs are the stack's ((NiceLayer, Covering), count) entries in stack
+    order, of one width, height and family, each covering certified on its
+    layer's cells; d >= 1 and r >= 1 - d + d*s.  None of this is checked
+    here: tile()'s verify_tiling is the one check of what the stack yields.
 
-    Copy i of a layer flattens to its pattern, the sorted values
-    d * layer.rank(x, y) + (z - 1) * r of each block, translated by
-    d * start_i + shift.  Each distinct (layer, covering) pair is mapped
-    once.  The parts are returned in increasing order, for any d and shift:
-    slice by slice of each block's lowest point, within a slice copy by copy
-    in stack order, and within a copy by least element.
+    A copy starting at rank start flattens to its layer's pattern, the
+    sorted values d * layer.rank(x, y) + (z - 1) * r of each block,
+    translated by d * start + shift.  Each run with count > 0 is mapped
+    once, a run of count 0 not at all.  The parts are returned in increasing
+    order, for any d and shift: slice by slice of each block's lowest point,
+    within a slice run by run, then copy by copy, then by least element.
     """
-    patterns: dict[tuple[NiceLayer, int], dict[int, list[Part]]] = {}
-    copies: list[tuple[int, dict[int, list[Part]]]] = []
-    start = 0
-    for layer, cov in pairs:
-        key = (layer, id(cov))
-        if key not in patterns:
-            patterns[key] = _pattern(layer, cov, d, r)
-        copies.append((d * start + shift, patterns[key]))
-        start += layer.size
+    placed: list[tuple[dict[int, list[Part]], range]] = []
+    offset = shift
+    for (layer, cov), count in runs:
+        if count:
+            offsets = range(offset, offset + count * d * layer.size, d * layer.size)
+            placed.append((_pattern(layer, cov, d, r), offsets))
+            offset = offsets.stop
 
     parts: list[Part] = []
-    for z in sorted({z for groups in patterns.values() for z in groups}):
+    for z in sorted({z for groups, _ in placed for z in groups}):
         # every block has four points, so every pattern part is a 4-tuple
         parts += [(w + offset, x + offset, y + offset, v + offset)
-                  for offset, groups in copies for w, x, y, v in groups.get(z, ())]
+                  for groups, offsets in placed if z in groups
+                  for offset in offsets for w, x, y, v in groups[z]]
     return parts
 
 

@@ -5,7 +5,7 @@ from operator import lt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaptile import assemble
+from gaptile import assemble, flatten
 from gaptile.assemble import build_T, plan, threshold, tile
 from gaptile.blocks3d import Covering
 from gaptile.core import GapSequence, InternalInconsistency, UnsupportedParameters, \
@@ -214,9 +214,8 @@ class TestBuildT:
         params = plan(p, q, r)
         for s in [*range(s_min, s_min + n1 + 1), *range(s_max - n1, s_max + 1)]:
             count1, count2 = least_count2_split(s, n1, n2)
-            stack = [params.layer1] * count1 + [params.layer2] * count2
-            assert build_T(params, s, s % 3) == \
-                flatten_blocks(stack, d, r, s % 3)
+            runs = [(params.layer1, count1), (params.layer2, count2)]
+            assert build_T(params, s, s % 3) == flatten_blocks(runs, d, r, s % 3)
 
     @pytest.mark.parametrize("shift", range(1, 7))
     def test_parts_come_out_increasing(self, shift):
@@ -225,6 +224,24 @@ class TestBuildT:
         assert params.d == 6
         parts = build_T(params, 2016 // params.d, shift)
         assert all(map(lt, parts, parts[1:]))
+
+    @pytest.mark.parametrize("p,q", [(1, 2), (10, 30), (3, 60)])
+    def test_empty_run_is_not_mapped(self, monkeypatch, p, q):
+        # at r = threshold these slice sizes split with count2 = 0, so
+        # tile() maps layer1 once and layer2 never
+        calls = []
+        pattern = flatten._pattern
+
+        def counted(layer, cov, d, r):
+            calls.append(layer)
+            return pattern(layer, cov, d, r)
+
+        params = plan(p, q, threshold(p, q))
+        assert params.d == 1
+        assert least_count2_split(params.r, params.n1, params.n2)[1] == 0
+        monkeypatch.setattr(flatten, "_pattern", counted)
+        tile(p, q, params.r)
+        assert calls == [params.layer1[0]]
 
     def test_stack_slice_size_is_s(self):
         params = plan(1, 1, 50)
@@ -255,7 +272,8 @@ class TestStackPreconditions:
     ])
     def test_tile_meets_the_stack_step_preconditions(self, monkeypatch, p, q, k):
         # r = threshold + k; every s tile() builds lies in the good window,
-        # and every stack it flattens is nonempty, of one width, height and
+        # and every stack it flattens is two runs, count1 copies of layer1
+        # then count2 of layer2, s cells per slice, of one width, height and
         # family, each covering on its own layer's cells, with r at least
         # the injectivity bound
         r = threshold(p, q) + k
@@ -268,9 +286,9 @@ class TestStackPreconditions:
             seen_s.append(s)
             return build(params, s, shift)
 
-        def recording_flatten(pairs, d, r, shift=0):
-            seen_stacks.append((list(pairs), d, r))
-            return flatten(pairs, d, r, shift)
+        def recording_flatten(runs, d, r, shift):
+            seen_stacks.append((list(runs), d, r))
+            return flatten(runs, d, r, shift)
 
         monkeypatch.setattr(assemble, "build_T", recording_build)
         monkeypatch.setattr(assemble, "flatten_blocks", recording_flatten)
@@ -278,16 +296,17 @@ class TestStackPreconditions:
         assert len(seen_s) == len(seen_stacks) == d
         assert sorted(seen_s) == sorted(r // d + (i <= r % d) for i in range(1, d + 1))
         assert all((n1 - 1) * (n2 - 1) <= s <= (r - 1 + d) // d for s in seen_s)
-        for pairs, stack_d, stack_r in seen_stacks:
-            assert pairs and (stack_d, stack_r) == (d, r) and d >= 1
-            assert r >= 1 - d + d * sum(layer.size for layer, _ in pairs)
-            distinct = list({id(cov): (layer, cov) for layer, cov in pairs}.values())
-            assert len(distinct) <= 2
-            first_layer, first_cov = pairs[0]
-            for layer, cov in distinct:
-                assert layer.a == first_layer.a
-                assert cov.height == first_cov.height == params.height
-                assert set(cov.family) == set(first_cov.family)
+        for s, (runs, stack_d, stack_r) in zip(seen_s, seen_stacks):
+            assert (stack_d, stack_r) == (d, r) and d >= 1
+            (pair1, count1), (pair2, count2) = runs
+            assert (pair1, pair2) == (params.layer1, params.layer2)
+            assert count1 >= 0 and count2 >= 0
+            assert count1 * n1 + count2 * n2 == s > 0
+            assert r >= 1 - d + d * s
+            for layer, cov in (pair1, pair2):
+                assert layer.a == pair1[0].a
+                assert cov.height == pair1[1].height == params.height
+                assert set(cov.family) == set(pair1[1].family)
                 assert cov.cells == layer.cells()
 
 

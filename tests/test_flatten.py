@@ -1,11 +1,13 @@
-from itertools import accumulate
+from itertools import accumulate, groupby
 from operator import lt
 from typing import NamedTuple
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gaptile import assemble, flatten
-from gaptile.assemble import plan, tile
+from gaptile.assemble import plan, threshold, tile
 from gaptile.blocks3d import Block, Covering
 from gaptile.core import InternalInconsistency
 from gaptile.flatten import flatten_blocks
@@ -17,11 +19,17 @@ from test_core import gap_multiset
 # ---------- reference: the per-point flattening map ----------
 
 class Stack(NamedTuple):
-    """A stack as flatten_blocks takes it: (NiceLayer, Covering) pairs in
-    stack order, and the multiplier d."""
+    """A stack copy by copy: (NiceLayer, Covering) pairs in stack order, and
+    the multiplier d."""
 
     pairs: list
     d: int
+
+    @property
+    def runs(self):
+        """The stack as flatten_blocks takes it: each stretch of equal
+        consecutive pairs as one (pair, count) run."""
+        return [(pair, len(list(copies))) for pair, copies in groupby(self.pairs)]
 
     @property
     def layers(self):
@@ -89,7 +97,7 @@ class TestStack:
     def test_spacing_at_bound_flattens(self):
         stack = Stack([layer_x1(1, 2)], 2)
         assert min_spacing(stack) == 15
-        assert len(flatten_blocks(stack.pairs, stack.d, 15)) == 40
+        assert len(flatten_blocks(stack.runs, stack.d, 15, 0)) == 40
 
 
 BUILT_STACKS = [
@@ -124,19 +132,19 @@ class TestBijection:
 
 class TestFlattenBlocks:
     def test_wide_stack_parts(self):
-        parts = flatten_blocks([layer_x1(1, 2)], 1, 56)
+        parts = flatten_blocks([(layer_x1(1, 2), 1)], 1, 56, 0)
         assert len(parts) == 40  # 8 cells x 20 slices / 4
         assert all(gap_multiset(part) == (1, 2, 56) for part in parts)
 
     def test_near_stack_parts(self):
-        parts = flatten_blocks([layer_y1(1, 1), layer_y2(1, 1)], 1, 48)
+        parts = flatten_blocks([(layer_y1(1, 1), 1), (layer_y2(1, 1), 1)], 1, 48, 0)
         assert len(parts) == 16
         assert all(gap_multiset(part) == (1, 1, 48) for part in parts)
 
     def test_parts_partition_the_image(self):
         stack = Stack([layer_y1(2, 3), layer_y2(2, 3)], 1)
         r = min_spacing(stack) + 7
-        parts = flatten_blocks(stack.pairs, stack.d, r)
+        parts = flatten_blocks(stack.runs, stack.d, r, 0)
         covered = [x for part in parts for x in part]
         assert len(covered) == len(set(covered))
         assert set(covered) == phi_image(stack, r)
@@ -146,23 +154,11 @@ class TestFlattenBlocks:
         # distinct from every in-slice gap, each part shows r exactly once
         stack = Stack([layer_x1(1, 3)], 1)
         r = min_spacing(stack) + 1
-        for part in flatten_blocks(stack.pairs, stack.d, r):
+        for part in flatten_blocks(stack.runs, stack.d, r, 0):
             gaps = gap_multiset(part)
             assert gaps.count(r) == 1
 
-    @pytest.mark.parametrize("first,error", [
-        (lambda blk: blk[:3],
-         (ValueError, "^a block must be 4 lists of 3 integers, got block 0: ")),
-    ], ids=["three_points"])
-    def test_first_block_needs_three_positive_gaps(self, first, error):
-        # three points cannot be stored in a Covering, so no stack holds them
-        layer, cov = layer_x1(1, 2)
-        with pytest.raises(error[0], match=error[1]):
-            bad = Covering(cov.cells, cov.height, (first(cov.blocks[0]),) + cov.blocks[1:],
-                           cov.family)
-            flatten_blocks([(layer, bad), (layer, cov)], 1, 100)
-
-    def test_each_distinct_pair_mapped_once(self, monkeypatch):
+    def test_each_nonempty_run_mapped_once(self, monkeypatch):
         calls = []
         pattern = flatten._pattern
 
@@ -172,7 +168,7 @@ class TestFlattenBlocks:
 
         x1, x2 = layer_x1(1, 2), layer_x2(1, 2)
         monkeypatch.setattr(flatten, "_pattern", counted)
-        parts = flatten_blocks([x1, x2] * 250, 1, 250 * (8 + 9))
+        parts = flatten_blocks([(x1, 250), (x2, 0), (x2, 250), (x1, 0)], 1, 250 * (8 + 9), 0)
         assert calls == [x1[0], x2[0]]
         assert len(parts) == 250 * (40 + 45)
 
@@ -200,7 +196,7 @@ class TestFlattenOnceReference:
     @pytest.mark.parametrize("stack,r,p,q", REPEATED_STACKS)
     def test_matches_per_point_phi(self, stack, r, p, q, shift):
         assert len(set(stack.layers)) < len(stack.layers)
-        got = sorted(flatten_blocks(stack.pairs, stack.d, r, shift))
+        got = sorted(flatten_blocks(stack.runs, stack.d, r, shift))
         assert got == sorted(flatten_with_phi(stack, r, shift))
         # the gaps come from the blocks; the reduced strides p, q predict them
         assert {gap_multiset(part) for part in got} == \
@@ -210,7 +206,7 @@ class TestFlattenOnceReference:
     @pytest.mark.parametrize("stack,r,p,q", REPEATED_STACKS)
     def test_parts_come_out_increasing(self, stack, r, p, q, shift):
         # by slice, then copy in stack order, then least element in the copy
-        parts = flatten_blocks(stack.pairs, stack.d, r, shift)
+        parts = flatten_blocks(stack.runs, stack.d, r, shift)
         assert all(map(lt, parts, parts[1:]))
         assert all(map(lt, map(min, parts), map(min, parts[1:])))
 
@@ -227,3 +223,34 @@ class TestFlattenOnceReference:
         message = r"^constructed tiling failed, reject: disjointness \(witness 4\)$"
         with pytest.raises(InternalInconsistency, match=message):
             tile(1, 2, 56)
+
+
+# plan()'s layers in the big regime, the small one with d = 1, and with d > 1
+RUN_PLANS = [plan(p, q, threshold(p, q)) for p, q in [(1, 2), (1, 3), (2, 3), (2, 4), (3, 6)]]
+
+
+@st.composite
+def run_stacks(draw):
+    """1-4 runs of a plan's two layers, 0-4 copies each, so runs may be
+    empty and one pair may come back in a later run; a shift in 0..d."""
+    params = draw(st.sampled_from(RUN_PLANS))
+    layers = {1: params.layer1, 2: params.layer2}
+    runs = draw(st.lists(st.tuples(st.sampled_from([1, 2]), st.integers(0, 4)),
+                         min_size=1, max_size=4))
+    return params.d, [(layers[i], count) for i, count in runs], draw(st.integers(0, params.d))
+
+
+class TestRuns:
+    @settings(max_examples=100, deadline=None)
+    @given(run_stacks())
+    def test_matches_per_point_phi(self, case):
+        d, runs, shift = case
+        stack = Stack([pair for pair, count in runs for _ in range(count)], d)
+        assume(stack.pairs)
+        r = min_spacing(stack)
+        with mock.patch.object(flatten, "_pattern", wraps=flatten._pattern) as pattern:
+            parts = flatten_blocks(runs, d, r, shift)
+        assert parts == sorted(flatten_with_phi(stack, r, shift))
+        assert all(map(lt, map(min, parts), map(min, parts[1:])))
+        assert [call.args for call in pattern.call_args_list] == \
+            [(*pair, d, r) for pair, count in runs if count]
